@@ -31,7 +31,6 @@ pub mod auth;
 pub mod cache;
 pub mod client;
 pub mod http;
-pub mod json;
 pub mod ratelimit;
 mod server;
 

@@ -23,6 +23,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use zugchain_archive::{Archive, BlockInfo, FleetArchive, QueryEngine};
+use zugchain_telemetry::json::{self, JsonObject};
 use zugchain_telemetry::{
     check_chain, Counter, Gauge, Histogram, Registry, Span, TraceStore, STAGES,
 };
@@ -31,7 +32,6 @@ use zugchain_wire::TrainId;
 use crate::auth::{Auth, AuthDecision};
 use crate::cache::ResponseCache;
 use crate::http::{self, Parsed, Request, Response};
-use crate::json::{self, JsonObject};
 use crate::ratelimit::RateLimiter;
 
 /// Serving policy: credentials, rate limits, cache size, page bounds.
@@ -223,7 +223,7 @@ impl ApiService {
         Self::with_traces(config, backend, registry, None)
     }
 
-    /// Like [`ApiService::new`] with a cluster-shared [`TraceStore`]
+    /// Like [`ApiService::new`] with a cluster-wide [`TraceStore`]
     /// behind the `/v1/trains/<id>/trace/<sn>` lifecycle endpoint.
     pub fn with_traces(
         config: ApiConfig,
@@ -667,7 +667,7 @@ impl ApiServer {
         Self::bind("127.0.0.1:0", config, backend, registry)
     }
 
-    /// Like [`ApiServer::start`] with a cluster-shared [`TraceStore`]
+    /// Like [`ApiServer::start`] with a cluster-wide [`TraceStore`]
     /// behind the trace lifecycle endpoint.
     ///
     /// # Errors

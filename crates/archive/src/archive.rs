@@ -530,7 +530,7 @@ impl Archive {
                 let seq = *seq;
                 let blocks = certified.blocks.len() as u64;
                 self.telemetry
-                    .record_with(|| zugchain_telemetry::TraceEvent::ArchiveIngest { seq, blocks });
+                    .record(|| zugchain_telemetry::Event::ArchiveIngest { seq, blocks });
                 self.trace_ingest_spans(certified);
             }
             Err(_) => self.metrics.ingest_errors.inc(),
@@ -563,7 +563,7 @@ impl Archive {
                     zugchain_telemetry::Stage::Ingest.as_str(),
                     0,
                 );
-                self.telemetry.record_span(|| zugchain_telemetry::Span {
+                self.telemetry.record(|| zugchain_telemetry::Span {
                     trace_id,
                     span_id: ingest_span,
                     parent_span: zugchain_wire::derive_span_id(
@@ -578,7 +578,7 @@ impl Archive {
                     start_ms: now,
                     end_ms: now,
                 });
-                self.telemetry.record_span(|| zugchain_telemetry::Span {
+                self.telemetry.record(|| zugchain_telemetry::Span {
                     trace_id,
                     span_id: zugchain_wire::derive_span_id(
                         trace_id,

@@ -1,44 +1,60 @@
-//! Telemetry overhead on the consensus hot path: orders the same
-//! request stream as `pbft_batch` (batch size 16, 4 replicas) with the
-//! instrument points disabled (the default — every metric handle is an
-//! inert `None`) and enabled (each replica publishing into a shared
-//! registry). The acceptance gate is that the disabled path stays
-//! within noise of the pre-instrumentation `pbft_batch` baseline; the
-//! enabled delta is the true cost of the atomic counters.
+//! Telemetry overhead on the consensus hot path: orders one stream of
+//! distinct 256-byte requests through a fresh 4-replica all-to-all group
+//! at batch 1 and batch 16, with telemetry disabled (the default — every
+//! handle is an inert `None`) and enabled (each replica publishing its
+//! metrics, stage histograms and spans into its event ring, the rings
+//! joined by one `TraceStore`).
 //!
-//! Set `ZUGCHAIN_BENCH_QUICK=1` for the CI smoke variant.
+//! Every round orders the stream once disabled and once enabled, back
+//! to back, so both sides see the same host state. Per batch size the
+//! bench prints the fastest run of each side and the median of the
+//! per-round enabled/disabled ratios:
+//!
+//! ```text
+//! bench-result: pbft/telemetry_overhead/batch<B> disabled_ns=N enabled_ns=N ratio=R
+//! ```
+//!
+//! CI gates `ratio`, a comparison made within one run. Set
+//! `ZUGCHAIN_BENCH_QUICK=1` for the CI smoke variant.
 
 use std::sync::Arc;
+use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use zugchain_crypto::Keystore;
 use zugchain_machine::Effect;
 use zugchain_pbft::{Config, NodeId, ProposedRequest, Replica, ReplicaEvent};
-use zugchain_telemetry::{Registry, Telemetry, DEFAULT_TRACE_CAPACITY};
+use zugchain_telemetry::{Registry, Telemetry, TraceStore, DEFAULT_TRACE_CAPACITY};
 
 const N: usize = 4;
-const BATCH: usize = 16;
 
-fn fresh_group(telemetry: Option<&[Telemetry]>) -> Vec<Replica> {
-    let config = Config::new(N).unwrap().with_max_batch_size(BATCH);
+fn fresh_group(batch: usize, enabled: bool) -> Vec<Replica> {
+    let config = Config::new(N).unwrap().with_max_batch_size(batch);
     let (pairs, keystore) = Keystore::generate(N, 7);
+    let registry = Arc::new(Registry::new());
+    let store = Arc::new(TraceStore::new());
     pairs
         .into_iter()
         .enumerate()
         .map(|(id, key)| {
             let mut replica =
                 Replica::new(NodeId(id as u64), config.clone(), key, keystore.clone());
-            if let Some(handles) = telemetry {
-                replica.set_telemetry(&handles[id]);
+            if enabled {
+                replica.set_telemetry(&Telemetry::new_with_store(
+                    id as u64,
+                    Arc::clone(&registry),
+                    DEFAULT_TRACE_CAPACITY,
+                    Some(Arc::clone(&store)),
+                ));
             }
             replica
         })
         .collect()
 }
 
-/// Same ordering loop as `pbft_batch`: propose on the primary, pump the
-/// group until quiet, count per-request decides.
-fn order_stream(replicas: &mut [Replica], requests: usize) -> usize {
+/// Proposes the stream on the primary and pumps the group until quiet;
+/// returns the wall time of the ordering in nanoseconds.
+fn order_stream(mut replicas: Vec<Replica>, requests: usize) -> u64 {
+    let start = Instant::now();
     for tag in 0..requests {
         let mut payload = vec![0u8; 256];
         payload[..8].copy_from_slice(&(tag as u64).to_le_bytes());
@@ -65,48 +81,29 @@ fn order_stream(replicas: &mut [Replica], requests: usize) -> usize {
             }
         }
     }
-    decided
+    let elapsed = start.elapsed().as_nanos() as u64;
+    assert_eq!(decided, N * requests);
+    elapsed
 }
 
-fn bench_telemetry_overhead(c: &mut Criterion) {
+fn main() {
     let quick = std::env::var_os("ZUGCHAIN_BENCH_QUICK").is_some();
-    let requests = if quick { 64usize } else { 256 };
-    let mut group = c.benchmark_group("pbft/telemetry_overhead");
-    group.sample_size(if quick { 5 } else { 20 });
-    group.throughput(Throughput::Elements(requests as u64));
-
-    group.bench_function("disabled", |b| {
-        b.iter_batched(
-            || fresh_group(None),
-            |mut replicas| {
-                let decided = order_stream(&mut replicas, requests);
-                assert_eq!(decided, N * requests);
-                decided
-            },
-            criterion::BatchSize::LargeInput,
+    let (requests, rounds) = if quick { (64, 21) } else { (256, 51) };
+    for batch in [1usize, 16] {
+        let (mut disabled_ns, mut enabled_ns) = (u64::MAX, u64::MAX);
+        let mut ratios = Vec::with_capacity(rounds);
+        for _ in 0..rounds {
+            let disabled = order_stream(fresh_group(batch, false), requests);
+            let enabled = order_stream(fresh_group(batch, true), requests);
+            disabled_ns = disabled_ns.min(disabled);
+            enabled_ns = enabled_ns.min(enabled);
+            ratios.push(enabled as f64 / disabled as f64);
+        }
+        ratios.sort_by(f64::total_cmp);
+        println!(
+            "bench-result: pbft/telemetry_overhead/batch{batch} disabled_ns={disabled_ns} \
+             enabled_ns={enabled_ns} ratio={:.3}",
+            ratios[rounds / 2]
         );
-    });
-
-    group.bench_function("enabled", |b| {
-        b.iter_batched(
-            || {
-                let registry = Arc::new(Registry::new());
-                let handles: Vec<Telemetry> = (0..N as u64)
-                    .map(|id| Telemetry::new(id, Arc::clone(&registry), DEFAULT_TRACE_CAPACITY))
-                    .collect();
-                fresh_group(Some(&handles))
-            },
-            |mut replicas| {
-                let decided = order_stream(&mut replicas, requests);
-                assert_eq!(decided, N * requests);
-                decided
-            },
-            criterion::BatchSize::LargeInput,
-        );
-    });
-
-    group.finish();
+    }
 }
-
-criterion_group!(benches, bench_telemetry_overhead);
-criterion_main!(benches);

@@ -27,7 +27,7 @@ use zugchain_export::{
 use zugchain_machine::{Driver, Effect, Frame, Host};
 use zugchain_mvb::Nsdb;
 use zugchain_pbft::{Checkpoint, CheckpointProof, Config, Message, NodeId};
-use zugchain_telemetry::{Registry, Telemetry, TraceEvent, TraceStore, DEFAULT_TRACE_CAPACITY};
+use zugchain_telemetry::{Registry, Telemetry, TraceStore, DEFAULT_TRACE_CAPACITY};
 use zugchain_wire::TrainId;
 
 use crate::byzantine::ByzNode;
@@ -197,10 +197,11 @@ pub struct ChaosOutcome {
     /// liveness loss shows up as undecided operations or a blown view
     /// bound.
     pub quiesced: bool,
-    /// Per-node flight-recorder dumps (JSONL, virtual-time stamped —
-    /// byte-identical across replays of one plan). On a violation, every
-    /// node's trace ends with a `mark` record carrying the violation,
-    /// so the tail shows what each replica did right before the failure.
+    /// Per-node event-ring dumps (JSONL, virtual-time stamped —
+    /// byte-identical across replays of one plan), formatted only on a
+    /// violation and empty otherwise. Every node's dump then ends with a
+    /// `mark` record carrying the violation, so the tail shows what each
+    /// replica did right before the failure.
     pub traces: Vec<String>,
     /// When the violation names a consensus sequence number (decide
     /// conflict, equivocation), the assembled cross-node span tree of
@@ -543,11 +544,11 @@ impl Host<TrainMachine<ByzNode>> for ChaosHost<'_> {
 
 struct Chaos {
     drivers: Vec<Driver<TrainMachine<ByzNode>>>,
-    /// Per-node flight recorders sharing one registry; the trace clock
+    /// Per-node telemetry handles sharing one registry; the trace clock
     /// follows virtual time, so dumps are deterministic per plan.
     telemetry: Vec<Telemetry>,
-    /// The cluster-shared causal-span store all telemetry handles feed;
-    /// violation post-mortems assemble cross-node span trees from it.
+    /// The cluster-wide view over the nodes' rings; violation
+    /// post-mortems assemble cross-node span trees from it.
     traces: Arc<TraceStore>,
     world: World,
     dcs: Vec<DataCenter>,
@@ -818,16 +819,24 @@ impl Chaos {
         if self.world.violation.is_none() {
             self.check_quiescence();
         }
-        // Stamp the violation into every node's trace so a dumped tail
-        // is self-describing: the last record names what broke and when.
-        if let Some(violation) = &self.world.violation {
-            let label = format!("violation: {violation}");
-            for telemetry in &self.telemetry {
-                telemetry.record_with(|| TraceEvent::Mark {
-                    label: label.clone(),
-                });
+        // Only a violation's post-mortem reads the rings: stamp it into
+        // every node's ring so a dumped tail is self-describing (the
+        // last record names what broke and when), then dump.
+        let traces = match &self.world.violation {
+            Some(violation) => {
+                let label = format!("violation: {violation}");
+                self.telemetry
+                    .iter()
+                    .map(|telemetry| {
+                        telemetry.record(|| zugchain_telemetry::Event::Mark {
+                            label: label.clone(),
+                        });
+                        telemetry.dump_jsonl()
+                    })
+                    .collect()
             }
-        }
+            None => Vec::new(),
+        };
         // When the violation names an sn, assemble every trace seen at
         // that slot into span trees — more than one tree at one sn is
         // itself the equivocation made visible, and each tree shows the
@@ -854,7 +863,7 @@ impl Chaos {
             state_transfers: self.world.state_transfers,
             delivered_messages: self.world.delivered,
             quiesced,
-            traces: self.telemetry.iter().map(Telemetry::dump_jsonl).collect(),
+            traces,
             violation_span_trees,
         }
     }

@@ -22,7 +22,7 @@ pub struct SeedFailure {
     pub repro: String,
     /// Suggested repro file name.
     pub file_name: String,
-    /// Flight-recorder tails from the original (unminimized) failing
+    /// Event-ring dumps from the original (unminimized) failing
     /// run, one JSONL dump per node, each ending with the violation
     /// mark (write their concatenation to `chaos-trace-<seed>.jsonl`).
     pub traces: Vec<String>,
@@ -30,7 +30,7 @@ pub struct SeedFailure {
     pub trace_file_name: String,
     /// Assembled cross-node span trees for the violating sequence
     /// number's trace ids (empty when the violation names no sn) —
-    /// write next to the flight-recorder dump.
+    /// write next to the ring dumps.
     pub span_trees: String,
     /// Suggested span-tree file name, placed next to the trace dump.
     pub span_tree_file_name: String,

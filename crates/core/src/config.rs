@@ -32,7 +32,7 @@ pub struct NodeConfig {
     /// filter's sliding window (§III-C: "a hashmap over the requests of a
     /// sliding window of past checkpoints").
     pub dedup_window_checkpoints: usize,
-    /// Capacity of the per-node flight-recorder ring and causal-span ring
+    /// Capacity of each telemetry handle's event ring, spans included
     /// (events retained per node). Overflow keeps the newest events.
     pub trace_capacity: usize,
 }
@@ -104,7 +104,7 @@ impl NodeConfig {
         self
     }
 
-    /// Overrides the flight-recorder / span-ring capacity (a floor of 1
+    /// Overrides the event-ring capacity (a floor of 1
     /// is applied by the ring itself).
     #[must_use]
     pub fn with_trace_capacity(mut self, capacity: usize) -> Self {

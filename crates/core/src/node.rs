@@ -572,7 +572,7 @@ impl ZugchainNode {
         let now = self.telemetry.now_ms().max(recorded);
         let trace_id = derive_trace_id(train, node, digest.as_bytes());
         let record_span = derive_span_id(trace_id, Stage::Record.as_str(), node);
-        self.telemetry.record_span(|| Span {
+        self.telemetry.record(|| Span {
             trace_id,
             span_id: record_span,
             parent_span: 0,
@@ -583,7 +583,7 @@ impl ZugchainNode {
             start_ms: recorded,
             end_ms: recorded,
         });
-        self.telemetry.record_span(|| Span {
+        self.telemetry.record(|| Span {
             trace_id,
             span_id: derive_span_id(trace_id, Stage::Submit.as_str(), node),
             parent_span: record_span,

@@ -1,25 +1,30 @@
 //! The node-level [`Observer`]: maps the typed traffic at the
 //! [`Driver`](zugchain_machine::Driver) seam — inputs, effects and the
-//! timer lifecycle of a [`TrainMachine`] — into the structured
-//! [`TraceEvent`] vocabulary of the flight recorder. Every runtime that
-//! drives nodes through the shared driver (simulator, threaded, TCP,
-//! chaos) gets identical traces by attaching this one observer.
+//! timer lifecycle of a [`TrainMachine`] — into the telemetry [`Event`]
+//! vocabulary. Every runtime that drives nodes through the shared driver
+//! (simulator, threaded, TCP, chaos) gets identical rings by attaching
+//! this one observer.
 
 use zugchain_machine::{Effect, MachineEffect, Observer};
-use zugchain_telemetry::{Telemetry, TraceEvent};
+use zugchain_telemetry::{Event, Telemetry};
 
 use crate::messages::TimerId;
 use crate::node::{NodeEvent, NodeInput, TrainMachine, TrainNode};
 
-/// Renders a [`TimerId`] as the short label used in traces.
-pub fn timer_label(id: &TimerId) -> String {
+/// A timer's static kind and numeric argument as recorded in the ring:
+/// the target view or slot, or for a request timer the big-endian first
+/// 8 bytes of the payload digest.
+fn timer_parts(id: &TimerId) -> (&'static str, u64) {
+    let prefix = |digest: &zugchain_crypto::Digest| {
+        u64::from_be_bytes(digest.as_bytes()[..8].try_into().expect("32-byte digest"))
+    };
     match id {
-        TimerId::Soft(digest) => format!("soft({})", digest.short()),
-        TimerId::Hard(digest) => format!("hard({})", digest.short()),
-        TimerId::ViewChange(view) => format!("view-change({view})"),
-        TimerId::BatchFlush => "batch-flush".to_string(),
-        TimerId::CollectorPrepare(sn) => format!("collector-prepare({sn})"),
-        TimerId::CollectorCommit(sn) => format!("collector-commit({sn})"),
+        TimerId::Soft(digest) => ("soft", prefix(digest)),
+        TimerId::Hard(digest) => ("hard", prefix(digest)),
+        TimerId::ViewChange(view) => ("view-change", *view),
+        TimerId::BatchFlush => ("batch-flush", 0),
+        TimerId::CollectorPrepare(sn) => ("collector-prepare", *sn),
+        TimerId::CollectorCommit(sn) => ("collector-commit", *sn),
     }
 }
 
@@ -28,7 +33,7 @@ pub fn timer_label(id: &TimerId) -> String {
 /// Message deliveries, protocol milestones (decide, view change,
 /// checkpoint, state transfer — read off the machine's
 /// [`NodeEvent`] outputs), send/broadcast effects, and the timer
-/// lifecycle (with generations) all land in the node's flight recorder,
+/// lifecycle (with generations) all land in the node's event ring,
 /// timestamped from the telemetry clock.
 #[derive(Debug, Clone)]
 pub struct NodeObserver {
@@ -51,8 +56,8 @@ impl NodeObserver {
 impl<N: TrainNode> Observer<TrainMachine<N>> for NodeObserver {
     fn input(&mut self, input: &NodeInput) {
         if let NodeInput::Message(message) = input {
-            self.telemetry.record_with(|| TraceEvent::MessageDelivered {
-                kind: message.kind().to_string(),
+            self.telemetry.record(|| Event::MessageDelivered {
+                kind: message.kind(),
             });
         }
     }
@@ -60,30 +65,29 @@ impl<N: TrainNode> Observer<TrainMachine<N>> for NodeObserver {
     fn effect(&mut self, effect: &MachineEffect<TrainMachine<N>>) {
         match effect {
             Effect::Output(event) => {
-                self.telemetry.record_with(|| match event {
-                    NodeEvent::Logged { sn, origin, .. } => TraceEvent::Decide {
+                self.telemetry.record(|| match event {
+                    NodeEvent::Logged { sn, origin, .. } => Event::Decide {
                         sn: *sn,
                         origin: origin.0,
                     },
-                    NodeEvent::NewPrimary { view, primary } => TraceEvent::ViewChange {
+                    NodeEvent::NewPrimary { view, primary } => Event::ViewChange {
                         view: *view,
                         primary: primary.0,
                     },
-                    NodeEvent::CheckpointStable { proof } => TraceEvent::Checkpoint {
+                    NodeEvent::CheckpointStable { proof } => Event::Checkpoint {
                         sn: proof.checkpoint.sn,
                     },
                     NodeEvent::StateTransferNeeded { to_sn, .. } => {
-                        TraceEvent::StateTransfer { target_sn: *to_sn }
+                        Event::StateTransfer { target_sn: *to_sn }
                     }
-                    NodeEvent::BlockCreated { .. } => TraceEvent::EffectEmitted {
+                    NodeEvent::BlockCreated { .. } => Event::EffectEmitted {
                         kind: "block-created",
                     },
                 });
             }
             Effect::Send { .. } | Effect::Broadcast { .. } => {
                 let kind = effect.kind().as_str();
-                self.telemetry
-                    .record_with(|| TraceEvent::EffectEmitted { kind });
+                self.telemetry.record(|| Event::EffectEmitted { kind });
             }
             // Timer effects are traced via the dedicated hooks below,
             // which carry the assigned generation.
@@ -92,24 +96,33 @@ impl<N: TrainNode> Observer<TrainMachine<N>> for NodeObserver {
     }
 
     fn timer_set(&mut self, id: &TimerId, gen: u64, duration_ms: u64) {
-        self.telemetry.record_with(|| TraceEvent::TimerSet {
-            timer: timer_label(id),
-            generation: gen,
-            duration_ms,
+        self.telemetry.record(|| {
+            let (timer, arg) = timer_parts(id);
+            Event::TimerSet {
+                timer,
+                arg,
+                generation: gen,
+                duration_ms,
+            }
         });
     }
 
     fn timer_cancelled(&mut self, id: &TimerId) {
-        self.telemetry.record_with(|| TraceEvent::TimerCancelled {
-            timer: timer_label(id),
+        self.telemetry.record(|| {
+            let (timer, arg) = timer_parts(id);
+            Event::TimerCancelled { timer, arg }
         });
     }
 
     fn timer_fired(&mut self, id: &TimerId, gen: u64, stale: bool) {
-        self.telemetry.record_with(|| TraceEvent::TimerFired {
-            timer: timer_label(id),
-            generation: gen,
-            stale,
+        self.telemetry.record(|| {
+            let (timer, arg) = timer_parts(id);
+            Event::TimerFired {
+                timer,
+                arg,
+                generation: gen,
+                stale,
+            }
         });
     }
 }

@@ -209,7 +209,7 @@ impl DataCenter {
 
     /// Attaches a telemetry handle: resolves the data center's metric
     /// handles (`zugchain_export_*`) and enables export-round trace
-    /// events in the flight recorder.
+    /// events in its event ring.
     pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
         self.metrics = DcMetrics::resolve(telemetry);
         self.metrics.archive_height.set(self.last_height as i64);
@@ -406,7 +406,7 @@ impl DataCenter {
                 let digest = Digest::of(&request.payload);
                 let trace_id =
                     zugchain_wire::derive_trace_id(train, request.origin, digest.as_bytes());
-                self.telemetry.record_span(|| zugchain_telemetry::Span {
+                self.telemetry.record(|| zugchain_telemetry::Span {
                     trace_id,
                     span_id: zugchain_wire::derive_span_id(
                         trace_id,
@@ -560,7 +560,7 @@ impl DataCenter {
         self.adopt(segment);
         self.metrics.archive_height.set(self.last_height as i64);
         self.telemetry
-            .record_with(|| zugchain_telemetry::TraceEvent::ExportRound {
+            .record(|| zugchain_telemetry::Event::ExportRound {
                 blocks: exported as u64,
             });
         self.round = None;

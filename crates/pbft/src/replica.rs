@@ -801,7 +801,7 @@ impl Replica {
             let trace_id = derive_trace_id(train, request.origin.0, digest.as_bytes());
             let sn = base + offset as u64;
             let node = self.id.0;
-            self.telemetry.record_span(|| Span {
+            self.telemetry.record(|| Span {
                 trace_id,
                 span_id: derive_span_id(trace_id, Stage::BatchFlush.as_str(), node),
                 parent_span: derive_span_id(trace_id, Stage::Submit.as_str(), request.origin.0),
@@ -853,7 +853,7 @@ impl Replica {
         let end_ms = end_ms.max(start_ms);
         for &(sn, origin, digest) in requests {
             let trace_id = derive_trace_id(train, origin, digest.as_bytes());
-            self.telemetry.record_span(|| Span {
+            self.telemetry.record(|| Span {
                 trace_id,
                 span_id: derive_span_id(trace_id, stage.as_str(), node),
                 parent_span: derive_span_id(

@@ -163,7 +163,9 @@ impl<T: PeerLink> Host<TrainMachine<ZugchainNode>> for ThreadHost<'_, T> {
 }
 
 /// The per-node event loop: inputs in, effects routed by the driver,
-/// timers via `recv_timeout` against the earliest deadline.
+/// timers via `recv_timeout` against the earliest deadline. `start` is
+/// the cluster's common clock origin, so every node stamps its events
+/// on one timeline.
 pub(crate) fn node_loop<T: PeerLink>(
     mut node: ZugchainNode,
     inbox: Receiver<LoopInput>,
@@ -171,9 +173,9 @@ pub(crate) fn node_loop<T: PeerLink>(
     events: Sender<ClusterEvent>,
     disk: Option<DiskStore>,
     telemetry: Telemetry,
+    start: Instant,
 ) -> NodeSummary {
     let id = node.id();
-    let start = Instant::now();
     node.set_telemetry(&telemetry);
     // A node thread that dies mid-run leaves its last events on stderr.
     telemetry.dump_on_panic();
@@ -185,8 +187,6 @@ pub(crate) fn node_loop<T: PeerLink>(
     let mut crashed = false;
 
     loop {
-        // Live runtimes stamp traces with wall time since cluster start.
-        telemetry.set_time_ms(start.elapsed().as_millis() as u64);
         let now = Instant::now();
         let timeout = deadlines
             .values()
@@ -223,6 +223,10 @@ pub(crate) fn node_loop<T: PeerLink>(
             Ok(LoopInput::Message(message)) => Some(NodeInput::Message(message)),
             Err(RecvTimeoutError::Timeout) => None,
         };
+        // Live runtimes stamp events with wall time since cluster
+        // start, read after the wait so that an input is never stamped
+        // earlier than its sender's own events.
+        telemetry.set_time_ms(start.elapsed().as_millis() as u64);
 
         if let Some(input) = input {
             let mut host = ThreadHost {

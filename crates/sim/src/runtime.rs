@@ -4,6 +4,7 @@
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use zugchain::{NodeConfig, ZugchainNode};
@@ -152,6 +153,7 @@ impl ThreadedCluster {
             (0..n).map(|_| bounded(4096)).collect();
         let inboxes: Vec<Sender<LoopInput>> = channels.iter().map(|(tx, _)| tx.clone()).collect();
 
+        let start = Instant::now();
         let handles = channels
             .into_iter()
             .enumerate()
@@ -197,7 +199,9 @@ impl ThreadedCluster {
                 let node_telemetry = telemetry[id].clone();
                 std::thread::Builder::new()
                     .name(format!("zugchain-node-{id}"))
-                    .spawn(move || node_loop(node, rx, link, events, Some(disk), node_telemetry))
+                    .spawn(move || {
+                        node_loop(node, rx, link, events, Some(disk), node_telemetry, start)
+                    })
                     .expect("spawn node thread")
             })
             .collect();
@@ -238,6 +242,7 @@ impl ThreadedCluster {
             (0..n).map(|_| bounded(4096)).collect();
         let inboxes: Vec<Sender<LoopInput>> = channels.iter().map(|(tx, _)| tx.clone()).collect();
 
+        let start = Instant::now();
         let handles = channels
             .into_iter()
             .enumerate()
@@ -260,7 +265,7 @@ impl ThreadedCluster {
                 let node_telemetry = telemetry[id].clone();
                 std::thread::Builder::new()
                     .name(format!("zugchain-node-{id}"))
-                    .spawn(move || node_loop(node, rx, link, events, disk, node_telemetry))
+                    .spawn(move || node_loop(node, rx, link, events, disk, node_telemetry, start))
                     .expect("spawn node thread")
             })
             .collect();
@@ -287,7 +292,7 @@ impl ThreadedCluster {
         self.registry.render_prometheus()
     }
 
-    /// JSONL flight-recorder dump of one node (empty when out of range).
+    /// JSONL dump of one node's event ring (empty when out of range).
     pub fn trace_jsonl(&self, node: usize) -> String {
         self.telemetry
             .get(node)
@@ -295,15 +300,7 @@ impl ThreadedCluster {
             .unwrap_or_default()
     }
 
-    /// JSONL causal-span dump of one node (empty when out of range).
-    pub fn span_jsonl(&self, node: usize) -> String {
-        self.telemetry
-            .get(node)
-            .map(Telemetry::span_jsonl)
-            .unwrap_or_default()
-    }
-
-    /// The cluster-shared causal-span store, for cross-node trace
+    /// The cluster-wide view over the nodes' rings, for cross-node trace
     /// assembly and the `/v1/trains/<id>/trace/<sn>` API endpoint.
     pub fn trace_store(&self) -> Arc<TraceStore> {
         Arc::clone(&self.traces)
@@ -368,6 +365,7 @@ impl ThreadedCluster {
 mod tests {
     use super::*;
     use std::time::Duration;
+    use zugchain_telemetry::{check_chain, ChainCheck, Stage, STAGES};
 
     #[test]
     fn threaded_cluster_orders_and_shuts_down() {
@@ -416,6 +414,58 @@ mod tests {
             summaries[1].stats.logged >= 2,
             "survivors logged both payloads"
         );
+    }
+
+    #[test]
+    fn rings_stay_bounded_and_the_newest_request_still_assembles() {
+        // Each request puts a few dozen events and spans on every node,
+        // so this run records far more than one ring holds.
+        const CAPACITY: usize = 128;
+        const REQUESTS: u64 = 120;
+        let config = NodeConfig::evaluation_default().with_trace_capacity(CAPACITY);
+        let cluster = ThreadedCluster::start(4, config);
+        let store = cluster.trace_store();
+        let mut logged = 0;
+        let mut newest_sn = 0;
+        let mut trace_counts = Vec::new();
+        for tag in 0..REQUESTS {
+            cluster.feed_bus_payload_all(tag.to_le_bytes().repeat(8));
+            // One request at a time: wait until every node logged it.
+            while logged < 4 * (tag + 1) {
+                match cluster.events().recv_timeout(Duration::from_secs(10)) {
+                    Ok(ClusterEvent::Logged { sn, .. }) => {
+                        logged += 1;
+                        newest_sn = newest_sn.max(sn);
+                    }
+                    Ok(_) => {}
+                    Err(e) => panic!("request {tag} not logged everywhere: {e}"),
+                }
+            }
+            if (tag + 1) % (REQUESTS / 4) == 0 {
+                trace_counts.push(store.trace_count());
+            }
+        }
+        for node in 0..4 {
+            let events = cluster.trace_jsonl(node).lines().count();
+            assert!(events <= CAPACITY, "node {node} ring holds {events}");
+        }
+        // Every request opens one trace per receiving node, yet the
+        // store only sees what the bounded rings still hold.
+        assert!(
+            trace_counts.iter().all(|&count| count <= CAPACITY),
+            "trace count must stay bounded, got {trace_counts:?}"
+        );
+        let [id] = store.traces_for_sn(newest_sn)[..] else {
+            panic!("sn {newest_sn} must name exactly one trace");
+        };
+        let record_to_decide = &STAGES[..=Stage::Decide.order()];
+        assert_eq!(
+            check_chain(&store.assemble(id), record_to_decide),
+            ChainCheck::Complete,
+            "{}",
+            store.render_tree(id)
+        );
+        cluster.shutdown();
     }
 }
 

@@ -90,26 +90,27 @@ pub struct Simulation {
     /// Shared metrics registry all per-node telemetry handles publish
     /// into; [`RunMetrics`] consensus counters are read from here.
     registry: Arc<Registry>,
-    /// Per-node telemetry handles (flight recorder + virtual clock).
+    /// Per-node telemetry handles (event ring + virtual clock).
     telemetry: Vec<Telemetry>,
-    /// Cluster-shared causal-span store: every node's telemetry handle
-    /// records spans here, so traces can be joined across nodes by id.
+    /// Cluster-wide view over the nodes' rings: joins spans across
+    /// nodes by trace id.
     traces: Arc<TraceStore>,
 }
 
 /// Telemetry captured by [`Simulation::run_instrumented`]: the shared
 /// registry (for Prometheus exposition / snapshot queries) and each
-/// node's flight-recorder dump. Deterministic for a fixed
-/// `(config, seed)`: trace timestamps come from the virtual clock.
+/// node's telemetry handle, whose event ring a caller dumps only when
+/// it reads it. Deterministic for a fixed `(config, seed)`: event
+/// timestamps come from the virtual clock.
 #[derive(Debug, Clone)]
 pub struct TelemetryCapture {
     /// The run's metrics registry.
     pub registry: Arc<Registry>,
-    /// Per-node JSONL flight-recorder dumps, indexed by node id.
-    pub traces: Vec<String>,
-    /// Per-node JSONL causal-span dumps, indexed by node id.
-    pub spans: Vec<String>,
-    /// The cluster-shared span store, for cross-node trace assembly.
+    /// Per-node telemetry handles, indexed by node id
+    /// ([`Telemetry::dump_jsonl`] formats a node's ring).
+    pub nodes: Vec<Telemetry>,
+    /// The cluster-wide view over the nodes' rings, for cross-node
+    /// trace assembly.
     pub trace_store: Arc<TraceStore>,
 }
 
@@ -530,13 +531,6 @@ impl Simulation {
         }
     }
 
-    /// The run's cluster-shared causal-span store. Clone the `Arc` before
-    /// [`run`](Self::run) to keep assembling traces after the run
-    /// completes.
-    pub fn trace_store(&self) -> Arc<TraceStore> {
-        Arc::clone(&self.traces)
-    }
-
     /// The run's shared metrics registry. Clone the `Arc` before
     /// [`run`](Self::run) to keep reading after the run completes.
     pub fn registry(&self) -> Arc<Registry> {
@@ -549,7 +543,7 @@ impl Simulation {
     }
 
     /// Runs the scenario and additionally returns the telemetry capture:
-    /// the metrics registry and every node's flight-recorder JSONL dump.
+    /// the metrics registry and every node's telemetry handle.
     pub fn run_instrumented(mut self) -> (RunMetrics, TelemetryCapture) {
         self.run_to_end();
         self.collect()
@@ -627,9 +621,6 @@ impl Simulation {
             .max()
             .unwrap_or((0, 0));
         let registry = Arc::clone(&self.registry);
-        let traces: Vec<String> = self.telemetry.iter().map(Telemetry::dump_jsonl).collect();
-        let spans: Vec<String> = self.telemetry.iter().map(Telemetry::span_jsonl).collect();
-        let trace_store = Arc::clone(&self.traces);
         let mut metrics = self.world.finish(end_ns, &registry);
         metrics.consensus_decided = consensus_decided;
         metrics.batches_decided = batches_decided;
@@ -637,9 +628,8 @@ impl Simulation {
             metrics,
             TelemetryCapture {
                 registry,
-                traces,
-                spans,
-                trace_store,
+                nodes: self.telemetry,
+                trace_store: self.traces,
             },
         )
     }
@@ -891,10 +881,11 @@ mod tests {
     #[test]
     fn tiny_trace_ring_keeps_the_newest_events() {
         // Same deterministic run twice: once with a ring big enough to
-        // hold everything, once with a tiny one. Overflow must evict
-        // the oldest entries only — the tiny dump is exactly the tail
-        // of the full dump, for both the flight recorder and the span
-        // ring, on every node.
+        // hold everything, once with a tiny one. Each node has one ring
+        // for its events and spans alike; overflow must evict the oldest
+        // entries only, so on every node the tiny dump is exactly the
+        // tail of the full dump.
+        const TINY: usize = 4;
         let mut config = quick(Mode::Zugchain, 64, 256);
         config.duration_ms = 2_000;
         let full_config = ScenarioConfig {
@@ -902,34 +893,33 @@ mod tests {
             ..config.clone()
         };
         let tiny_config = ScenarioConfig {
-            node_config: config.node_config.clone().with_trace_capacity(4),
+            node_config: config.node_config.clone().with_trace_capacity(TINY),
             ..config.clone()
         };
         let (_, full) = Simulation::new(&full_config, 5).run_instrumented();
         let (_, tiny) = Simulation::new(&tiny_config, 5).run_instrumented();
-        for node in 0..full.traces.len() {
-            for (name, full_dump, tiny_dump) in [
-                ("flight recorder", &full.traces[node], &tiny.traces[node]),
-                ("span ring", &full.spans[node], &tiny.spans[node]),
-            ] {
-                let full_lines: Vec<&str> = full_dump.lines().collect();
-                let tiny_lines: Vec<&str> = tiny_dump.lines().collect();
-                assert!(
-                    tiny_lines.len() <= 4,
-                    "node {node} {name}: tiny ring holds {} > 4 entries",
-                    tiny_lines.len()
-                );
-                assert!(
-                    full_lines.len() > tiny_lines.len(),
-                    "node {node} {name}: the run must overflow the tiny ring"
-                );
-                assert_eq!(
-                    tiny_lines.as_slice(),
-                    &full_lines[full_lines.len() - tiny_lines.len()..],
-                    "node {node} {name}: overflow must keep the newest entries"
-                );
-            }
+        for (node, (full, tiny)) in full.nodes.iter().zip(&tiny.nodes).enumerate() {
+            let (full_dump, tiny_dump) = (full.dump_jsonl(), tiny.dump_jsonl());
+            assert!(
+                full_dump.contains("\"kind\":\"span\""),
+                "node {node}: spans share the event ring"
+            );
+            let full_lines: Vec<&str> = full_dump.lines().collect();
+            let tiny_lines: Vec<&str> = tiny_dump.lines().collect();
+            assert_eq!(tiny_lines.len(), TINY, "node {node}: tiny ring is full");
+            assert!(
+                full_lines.len() > TINY,
+                "node {node}: the run must overflow the tiny ring"
+            );
+            assert_eq!(
+                tiny_lines.as_slice(),
+                &full_lines[full_lines.len() - TINY..],
+                "node {node}: overflow must keep the newest entries"
+            );
         }
+        // The store reads the rings, so it forgets what they evicted.
+        assert!(tiny.trace_store.trace_count() <= TINY * tiny.nodes.len());
+        assert!(tiny.trace_store.trace_count() < full.trace_store.trace_count());
     }
 
     #[test]

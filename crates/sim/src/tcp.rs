@@ -16,6 +16,7 @@ use std::io::{self, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use zugchain::{NodeConfig, NodeMessage, ZugchainNode};
@@ -247,6 +248,7 @@ impl TcpCluster {
                 .map_err(|_| io::Error::other("acceptor panicked"))??;
         }
 
+        let start = Instant::now();
         let handles = inbox_rxs
             .into_iter()
             .enumerate()
@@ -265,7 +267,7 @@ impl TcpCluster {
                 let node_telemetry = telemetry[id].clone();
                 std::thread::Builder::new()
                     .name(format!("zugchain-tcp-{id}"))
-                    .spawn(move || node_loop(node, rx, link, events, None, node_telemetry))
+                    .spawn(move || node_loop(node, rx, link, events, None, node_telemetry, start))
                     .expect("spawn node thread")
             })
             .collect();
@@ -294,7 +296,7 @@ impl TcpCluster {
         self.registry.render_prometheus()
     }
 
-    /// JSONL flight-recorder dump of one node (empty when out of range).
+    /// JSONL dump of one node's event ring (empty when out of range).
     pub fn trace_jsonl(&self, node: usize) -> String {
         self.telemetry
             .get(node)
@@ -302,15 +304,7 @@ impl TcpCluster {
             .unwrap_or_default()
     }
 
-    /// JSONL causal-span dump of one node (empty when out of range).
-    pub fn span_jsonl(&self, node: usize) -> String {
-        self.telemetry
-            .get(node)
-            .map(Telemetry::span_jsonl)
-            .unwrap_or_default()
-    }
-
-    /// The cluster-shared causal-span store, for cross-node trace
+    /// The cluster-wide view over the nodes' rings, for cross-node trace
     /// assembly.
     pub fn trace_store(&self) -> Arc<TraceStore> {
         Arc::clone(&self.traces)

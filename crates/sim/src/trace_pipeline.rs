@@ -1,16 +1,19 @@
 //! End-to-end traced pipeline: one deterministic simulation run whose
 //! decided chain is carried through the real ground stages — export
 //! (paper Fig. 4), archive ingest, HTTP serving — with every stage
-//! publishing causal spans into the simulation's shared [`TraceStore`].
+//! recording causal spans into its handle's event ring, all rings
+//! joined by the simulation's [`TraceStore`].
 //!
-//! This is the subject of the CI `trace-smoke` job and the
-//! `trace_smoke` integration test: after the run, the
-//! `/v1/trains/<id>/trace/<sn>` endpoint must return a `Complete`
-//! span chain (record → submit → batch_flush → preprepare → prepare →
-//! commit → decide → export → ingest → servable) for every archived
-//! request, byte-identical across two same-seed runs, and the
+//! This is the subject of the `trace_smoke` integration test (run by
+//! the CI `trace-smoke` job) and of the `figures a8-stages` experiment:
+//! after the run, the `/v1/trains/<id>/trace/<sn>` endpoint must return
+//! a `Complete` span chain (record → submit → batch_flush → preprepare
+//! → prepare → commit → decide → export → ingest → servable) for every
+//! archived request, byte-identical across two same-seed runs, and the
 //! `zugchain_record_to_servable_ms` histogram must have observed
 //! exactly one latency per archived request.
+//!
+//! [`TraceStore`]: zugchain_telemetry::TraceStore
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -34,7 +37,8 @@ use crate::{RunMetrics, ScenarioConfig, Simulation, TelemetryCapture};
 pub struct TracedPipelineOutcome {
     /// The simulation's run report.
     pub metrics: RunMetrics,
-    /// The simulation's telemetry capture (registry + span store).
+    /// The simulation's telemetry capture (registry, node handles, trace
+    /// store).
     pub capture: TelemetryCapture,
     /// Consensus sequence numbers of every archived request, ascending.
     pub archived_sns: Vec<u64>,
@@ -72,9 +76,9 @@ impl TracedPipelineOutcome {
 pub fn run_traced_pipeline(config: &ScenarioConfig, seed: u64) -> TracedPipelineOutcome {
     let (metrics, capture, chain) = Simulation::new(config, seed).run_traced();
 
-    // Ground-side telemetry: same registry and span store as the
-    // simulated cluster, clock pinned past the drain horizon so export
-    // and ingest spans sort after every consensus span.
+    // Ground-side telemetry: same registry as the simulated cluster and
+    // a ring attached to its trace store, clock pinned past the drain
+    // horizon so export and ingest spans sort after every consensus span.
     let ground = Telemetry::new_with_store(
         0,
         Arc::clone(&capture.registry),

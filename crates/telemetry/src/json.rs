@@ -1,7 +1,11 @@
-//! The minimal flat-JSON dialect the flight recorder emits: one object
-//! per line, string/unsigned-integer/boolean values only, no nesting.
-//! A hand-rolled writer/parser pair keeps the crate dependency-free
-//! while letting tests round-trip every dumped line.
+//! The one flat-JSON codec. [`JsonObject`] is the push-style writer that
+//! every event dump line, span line and API response body is built
+//! with; [`parse_flat_object`] reads a dump line back. The parser's
+//! dialect is what the dumps emit: one object per line with string,
+//! unsigned-integer and boolean values, no nesting. A hand-rolled pair
+//! keeps the crate dependency-free (the `shims/` discipline).
+
+use std::fmt::Write as _;
 
 /// A value in a flat JSON object.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,50 +36,137 @@ impl JsonValue {
     }
 }
 
-/// Escapes `s` for use inside a JSON string literal.
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
+/// Appends `raw` to `out` as the contents of a JSON string literal.
+fn push_escaped(out: &mut String, raw: &str) {
+    for c in raw.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
-    out
 }
 
-/// Writes one `"key":value` pair onto `out` (comma-prefixed when not
-/// first).
-pub(crate) fn push_field(out: &mut String, first: &mut bool, key: &str, value: &JsonValue) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
+/// Appends `raw` to `out` as a quoted JSON string.
+fn push_quoted(out: &mut String, raw: &str) {
     out.push('"');
-    out.push_str(&escape(key));
-    out.push_str("\":");
-    match value {
-        JsonValue::U64(v) => out.push_str(&v.to_string()),
-        JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        JsonValue::Str(s) => {
-            out.push('"');
-            out.push_str(&escape(s));
-            out.push('"');
+    push_escaped(out, raw);
+    out.push('"');
+}
+
+/// Builder for one JSON object (`{...}`), fields in call order.
+#[derive(Debug)]
+pub struct JsonObject {
+    buf: String,
+    first: bool,
+}
+
+impl JsonObject {
+    /// Starts an empty object.
+    pub fn new() -> Self {
+        JsonObject {
+            buf: String::from("{"),
+            first: true,
         }
     }
+
+    fn key(&mut self, name: &str) {
+        if !self.first {
+            self.buf.push(',');
+        }
+        self.first = false;
+        push_quoted(&mut self.buf, name);
+        self.buf.push(':');
+    }
+
+    /// Adds an unsigned integer field.
+    #[must_use]
+    pub fn field_u64(mut self, name: &str, value: u64) -> Self {
+        self.key(name);
+        let _ = write!(self.buf, "{value}");
+        self
+    }
+
+    /// Adds a string field (escaped).
+    #[must_use]
+    pub fn field_str(mut self, name: &str, value: &str) -> Self {
+        self.key(name);
+        push_quoted(&mut self.buf, value);
+        self
+    }
+
+    /// Adds a boolean field.
+    #[must_use]
+    pub fn field_bool(mut self, name: &str, value: bool) -> Self {
+        self.key(name);
+        self.buf.push_str(if value { "true" } else { "false" });
+        self
+    }
+
+    /// Adds a pre-rendered JSON value (object, array, literal) verbatim.
+    #[must_use]
+    pub fn field_raw(mut self, name: &str, value: &str) -> Self {
+        self.key(name);
+        self.buf.push_str(value);
+        self
+    }
+
+    /// Adds `value` as a number, or `null` when absent.
+    #[must_use]
+    pub fn field_opt_u64(self, name: &str, value: Option<u64>) -> Self {
+        match value {
+            Some(value) => self.field_u64(name, value),
+            None => self.field_raw(name, "null"),
+        }
+    }
+
+    /// Closes the object and returns the JSON text.
+    pub fn finish(mut self) -> String {
+        self.buf.push('}');
+        self.buf
+    }
+}
+
+impl Default for JsonObject {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// Renders a JSON array from pre-rendered element texts.
+pub fn array(elements: impl IntoIterator<Item = String>) -> String {
+    let mut buf = String::from("[");
+    for (i, element) in elements.into_iter().enumerate() {
+        if i > 0 {
+            buf.push(',');
+        }
+        buf.push_str(&element);
+    }
+    buf.push(']');
+    buf
+}
+
+/// Renders a JSON array of (escaped) strings.
+pub fn string_array<S: AsRef<str>>(elements: impl IntoIterator<Item = S>) -> String {
+    array(elements.into_iter().map(|element| {
+        let mut quoted = String::new();
+        push_quoted(&mut quoted, element.as_ref());
+        quoted
+    }))
 }
 
 /// Parses one flat JSON object (`{"k":v,...}`) into its key/value pairs,
 /// preserving order. Rejects nesting, trailing garbage, and any syntax
-/// outside the dialect the recorder emits.
+/// outside the dialect the dumps emit.
 pub fn parse_flat_object(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
-    let mut chars = line.trim().char_indices().peekable();
     let text = line.trim();
+    let mut chars = text.char_indices().peekable();
     let mut fields = Vec::new();
 
     expect_char(text, &mut chars, '{')?;
@@ -160,18 +251,12 @@ fn parse_value(text: &str, chars: &mut Chars<'_>) -> Result<JsonValue, String> {
         Some((_, 'f')) => parse_keyword(chars, "false").map(|_| JsonValue::Bool(false)),
         Some((_, c)) if c.is_ascii_digit() => {
             let mut n: u64 = 0;
-            let mut any = false;
-            while let Some((_, c)) = chars.peek().copied() {
-                let Some(d) = c.to_digit(10) else { break };
+            while let Some(d) = chars.peek().and_then(|(_, c)| c.to_digit(10)) {
                 chars.next();
-                any = true;
                 n = n
                     .checked_mul(10)
-                    .and_then(|n| n.checked_add(d as u64))
+                    .and_then(|n| n.checked_add(u64::from(d)))
                     .ok_or("integer overflow")?;
-            }
-            if !any {
-                return Err("expected digits".into());
             }
             Ok(JsonValue::U64(n))
         }
@@ -195,17 +280,11 @@ mod tests {
 
     #[test]
     fn round_trips_every_value_kind() {
-        let mut line = String::from("{");
-        let mut first = true;
-        push_field(&mut line, &mut first, "n", &JsonValue::U64(u64::MAX));
-        push_field(
-            &mut line,
-            &mut first,
-            "s",
-            &JsonValue::Str("a\"b\\c\nd\u{1}".into()),
-        );
-        push_field(&mut line, &mut first, "b", &JsonValue::Bool(true));
-        line.push('}');
+        let line = JsonObject::new()
+            .field_u64("n", u64::MAX)
+            .field_str("s", "a\"b\\c\nd\u{1}")
+            .field_bool("b", true)
+            .finish();
         let fields = parse_flat_object(&line).unwrap();
         assert_eq!(fields[0], ("n".into(), JsonValue::U64(u64::MAX)));
         assert_eq!(
@@ -225,5 +304,30 @@ mod tests {
     #[test]
     fn parses_empty_object() {
         assert!(parse_flat_object("{}").unwrap().is_empty());
+    }
+
+    #[test]
+    fn escapes_quotes_and_control_bytes() {
+        let text = JsonObject::new().field_str("k", "a\"b\\c\n\u{1}").finish();
+        assert_eq!(text, "{\"k\":\"a\\\"b\\\\c\\n\\u0001\"}");
+    }
+
+    #[test]
+    fn builds_nested_objects() {
+        let inner = JsonObject::new().field_u64("sn", 7).finish();
+        let text = JsonObject::new()
+            .field_str("train", "ICE-1")
+            .field_raw("blocks", &array([inner]))
+            .field_opt_u64("next_sn", None)
+            .finish();
+        assert_eq!(
+            text,
+            "{\"train\":\"ICE-1\",\"blocks\":[{\"sn\":7}],\"next_sn\":null}"
+        );
+    }
+
+    #[test]
+    fn string_arrays_escape_elements() {
+        assert_eq!(string_array(["a", "b\"c"]), "[\"a\",\"b\\\"c\"]");
     }
 }

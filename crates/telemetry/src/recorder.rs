@@ -1,24 +1,30 @@
-//! The flight recorder: a fixed-capacity ring buffer of structured
-//! trace events, dumped as one flat JSON object per line (JSONL).
-//! Timestamps come from the runtime-driven [`crate::Telemetry`] clock,
-//! so a simulated run dumps byte-identical traces for the same seed.
+//! The one observability event model: every instrumented layer records
+//! [`Event`]s into its handle's bounded ring, dumped as one flat JSON
+//! object per line (JSONL). Timestamps come from the runtime-driven
+//! [`crate::Telemetry`] clock, so a simulated run dumps byte-identical
+//! rings for the same seed.
 
 use std::collections::VecDeque;
 
-use crate::json::{parse_flat_object, push_field, JsonValue};
+use crate::json::{parse_flat_object, JsonObject, JsonValue};
+use crate::span::Span;
 
-/// One structured event in a node's flight-recorder trace. The
-/// vocabulary covers the observable life of a replica: bus/peer inputs,
-/// driver effects, timers (with the [`zugchain-machine`] generation
-/// discipline), and the protocol milestones every runtime shares.
+/// One structured event in a node's ring. The vocabulary covers the
+/// observable life of a replica: bus/peer inputs, driver effects, timers
+/// (with the [`zugchain-machine`] generation discipline), the protocol
+/// milestones every runtime shares, and the causal [`Span`]s of each
+/// request's pipeline stages.
+///
+/// Every variant but [`Event::Mark`] carries only `&'static str` labels
+/// and integers, so recording never allocates on the hot path.
 ///
 /// [`zugchain-machine`]: https://docs.rs/zugchain-machine
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceEvent {
+pub enum Event {
     /// A peer or bus message was delivered to the node.
     MessageDelivered {
         /// Short message-kind label (e.g. `preprepare`).
-        kind: String,
+        kind: &'static str,
     },
     /// The state machine emitted an effect.
     EffectEmitted {
@@ -28,8 +34,11 @@ pub enum TraceEvent {
     },
     /// A timer was armed.
     TimerSet {
-        /// Timer label (e.g. `view-change(3)`).
-        timer: String,
+        /// Timer kind (e.g. `view-change`).
+        timer: &'static str,
+        /// The timer's argument (target view, slot, digest prefix; 0
+        /// when the kind has none).
+        arg: u64,
         /// Arming generation from the driver's timer table.
         generation: u64,
         /// Requested duration.
@@ -37,13 +46,17 @@ pub enum TraceEvent {
     },
     /// A timer was cancelled.
     TimerCancelled {
-        /// Timer label.
-        timer: String,
+        /// Timer kind.
+        timer: &'static str,
+        /// The timer's argument.
+        arg: u64,
     },
     /// A timer expiry was delivered to the driver.
     TimerFired {
-        /// Timer label.
-        timer: String,
+        /// Timer kind.
+        timer: &'static str,
+        /// The timer's argument.
+        arg: u64,
         /// Expiry generation.
         generation: u64,
         /// Whether the expiry was stale (superseded by a re-arm or
@@ -86,176 +99,154 @@ pub enum TraceEvent {
         /// Blocks in the segment.
         blocks: u64,
     },
-    /// A free-form annotation (e.g. an invariant-violation note).
+    /// One pipeline stage of one request, with its start and end.
+    Span(Span),
+    /// A free-form annotation (e.g. an invariant-violation note). The
+    /// only variant that owns text; it is recorded off the hot path.
     Mark {
         /// The annotation text.
         label: String,
     },
 }
 
-impl TraceEvent {
+impl From<Span> for Event {
+    fn from(span: Span) -> Self {
+        Event::Span(span)
+    }
+}
+
+impl Event {
     /// The stable `kind` discriminant written to JSONL.
     pub fn kind(&self) -> &'static str {
         match self {
-            TraceEvent::MessageDelivered { .. } => "message",
-            TraceEvent::EffectEmitted { .. } => "effect",
-            TraceEvent::TimerSet { .. } => "timer-set",
-            TraceEvent::TimerCancelled { .. } => "timer-cancel",
-            TraceEvent::TimerFired { .. } => "timer-fire",
-            TraceEvent::Decide { .. } => "decide",
-            TraceEvent::ViewChange { .. } => "view-change",
-            TraceEvent::Checkpoint { .. } => "checkpoint",
-            TraceEvent::StateTransfer { .. } => "state-transfer",
-            TraceEvent::ExportRound { .. } => "export-round",
-            TraceEvent::ArchiveIngest { .. } => "archive-ingest",
-            TraceEvent::Mark { .. } => "mark",
+            Event::MessageDelivered { .. } => "message",
+            Event::EffectEmitted { .. } => "effect",
+            Event::TimerSet { .. } => "timer-set",
+            Event::TimerCancelled { .. } => "timer-cancel",
+            Event::TimerFired { .. } => "timer-fire",
+            Event::Decide { .. } => "decide",
+            Event::ViewChange { .. } => "view-change",
+            Event::Checkpoint { .. } => "checkpoint",
+            Event::StateTransfer { .. } => "state-transfer",
+            Event::ExportRound { .. } => "export-round",
+            Event::ArchiveIngest { .. } => "archive-ingest",
+            Event::Span(_) => "span",
+            Event::Mark { .. } => "mark",
         }
     }
 
-    fn fields(&self) -> Vec<(&'static str, JsonValue)> {
+    /// Appends the event's own fields to `obj`.
+    fn write_fields(&self, obj: JsonObject) -> JsonObject {
         match self {
-            TraceEvent::MessageDelivered { kind } => {
-                vec![("msg", JsonValue::Str(kind.clone()))]
-            }
-            TraceEvent::EffectEmitted { kind } => {
-                vec![("effect", JsonValue::Str((*kind).to_string()))]
-            }
-            TraceEvent::TimerSet {
+            Event::MessageDelivered { kind } => obj.field_str("msg", kind),
+            Event::EffectEmitted { kind } => obj.field_str("effect", kind),
+            Event::TimerSet {
                 timer,
+                arg,
                 generation,
                 duration_ms,
-            } => vec![
-                ("timer", JsonValue::Str(timer.clone())),
-                ("gen", JsonValue::U64(*generation)),
-                ("duration_ms", JsonValue::U64(*duration_ms)),
-            ],
-            TraceEvent::TimerCancelled { timer } => {
-                vec![("timer", JsonValue::Str(timer.clone()))]
+            } => obj
+                .field_str("timer", timer)
+                .field_u64("arg", *arg)
+                .field_u64("gen", *generation)
+                .field_u64("duration_ms", *duration_ms),
+            Event::TimerCancelled { timer, arg } => {
+                obj.field_str("timer", timer).field_u64("arg", *arg)
             }
-            TraceEvent::TimerFired {
+            Event::TimerFired {
                 timer,
+                arg,
                 generation,
                 stale,
-            } => vec![
-                ("timer", JsonValue::Str(timer.clone())),
-                ("gen", JsonValue::U64(*generation)),
-                ("stale", JsonValue::Bool(*stale)),
-            ],
-            TraceEvent::Decide { sn, origin } => vec![
-                ("sn", JsonValue::U64(*sn)),
-                ("origin", JsonValue::U64(*origin)),
-            ],
-            TraceEvent::ViewChange { view, primary } => vec![
-                ("view", JsonValue::U64(*view)),
-                ("primary", JsonValue::U64(*primary)),
-            ],
-            TraceEvent::Checkpoint { sn } => vec![("sn", JsonValue::U64(*sn))],
-            TraceEvent::StateTransfer { target_sn } => {
-                vec![("target_sn", JsonValue::U64(*target_sn))]
+            } => obj
+                .field_str("timer", timer)
+                .field_u64("arg", *arg)
+                .field_u64("gen", *generation)
+                .field_bool("stale", *stale),
+            Event::Decide { sn, origin } => obj.field_u64("sn", *sn).field_u64("origin", *origin),
+            Event::ViewChange { view, primary } => {
+                obj.field_u64("view", *view).field_u64("primary", *primary)
             }
-            TraceEvent::ExportRound { blocks } => vec![("blocks", JsonValue::U64(*blocks))],
-            TraceEvent::ArchiveIngest { seq, blocks } => vec![
-                ("seq", JsonValue::U64(*seq)),
-                ("blocks", JsonValue::U64(*blocks)),
-            ],
-            TraceEvent::Mark { label } => vec![("label", JsonValue::Str(label.clone()))],
+            Event::Checkpoint { sn } => obj.field_u64("sn", *sn),
+            Event::StateTransfer { target_sn } => obj.field_u64("target_sn", *target_sn),
+            Event::ExportRound { blocks } => obj.field_u64("blocks", *blocks),
+            Event::ArchiveIngest { seq, blocks } => {
+                obj.field_u64("seq", *seq).field_u64("blocks", *blocks)
+            }
+            // The record header already names the node.
+            Event::Span(span) => span.write_fields(obj, false),
+            Event::Mark { label } => obj.field_str("label", label),
         }
     }
 }
 
-/// One timestamped entry in the ring buffer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceRecord {
+/// One timestamped entry in a ring.
+#[derive(Debug)]
+struct Record {
     /// Trace-clock milliseconds at record time.
-    pub time_ms: u64,
-    /// Recording node.
-    pub node: u64,
-    /// Monotone per-recorder sequence number (survives ring eviction,
-    /// so gaps reveal how much history was dropped).
-    pub seq: u64,
-    /// The event.
-    pub event: TraceEvent,
+    time_ms: u64,
+    /// Monotone per-ring sequence number (survives eviction, so gaps
+    /// reveal how much history was dropped).
+    seq: u64,
+    event: Event,
 }
 
-impl TraceRecord {
-    /// Renders this record as one flat JSON object (no trailing
-    /// newline).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let mut first = true;
-        push_field(&mut out, &mut first, "t_ms", &JsonValue::U64(self.time_ms));
-        push_field(&mut out, &mut first, "node", &JsonValue::U64(self.node));
-        push_field(&mut out, &mut first, "seq", &JsonValue::U64(self.seq));
-        push_field(
-            &mut out,
-            &mut first,
-            "kind",
-            &JsonValue::Str(self.event.kind().to_string()),
-        );
-        for (key, value) in self.event.fields() {
-            push_field(&mut out, &mut first, key, &value);
-        }
-        out.push('}');
-        out
-    }
-}
-
-/// A fixed-capacity ring buffer of [`TraceRecord`]s: constant memory,
+/// A fixed-capacity ring of one handle's events: constant memory,
 /// newest events win.
 #[derive(Debug)]
-pub struct FlightRecorder {
+pub(crate) struct Ring {
+    node: u64,
     capacity: usize,
     next_seq: u64,
-    events: VecDeque<TraceRecord>,
+    records: VecDeque<Record>,
 }
 
-impl FlightRecorder {
-    /// An empty recorder retaining at most `capacity` events (minimum
-    /// 1).
-    pub fn new(capacity: usize) -> Self {
+impl Ring {
+    /// An empty ring for `node` retaining at most `capacity` events
+    /// (minimum 1).
+    pub(crate) fn new(node: u64, capacity: usize) -> Self {
         Self {
+            node,
             capacity: capacity.max(1),
             next_seq: 0,
-            events: VecDeque::new(),
+            records: VecDeque::new(),
         }
     }
 
     /// Appends an event, evicting the oldest when full.
-    pub fn record(&mut self, time_ms: u64, node: u64, event: TraceEvent) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
+    pub(crate) fn push(&mut self, time_ms: u64, event: Event) {
+        if self.records.len() == self.capacity {
+            self.records.pop_front();
         }
-        self.events.push_back(TraceRecord {
+        self.records.push_back(Record {
             time_ms,
-            node,
             seq: self.next_seq,
             event,
         });
         self.next_seq += 1;
     }
 
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.events.len()
+    /// The retained spans, oldest first.
+    pub(crate) fn spans(&self) -> impl Iterator<Item = &Span> {
+        self.records
+            .iter()
+            .filter_map(|record| match &record.event {
+                Event::Span(span) => Some(span),
+                _ => None,
+            })
     }
 
-    /// Whether nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// The most recent `n` records, oldest first.
-    pub fn tail(&self, n: usize) -> Vec<TraceRecord> {
-        let skip = self.events.len().saturating_sub(n);
-        self.events.iter().skip(skip).cloned().collect()
-    }
-
-    /// Dumps the retained events as JSONL, oldest first (one JSON
-    /// object per line, trailing newline after each).
-    pub fn dump_jsonl(&self) -> String {
+    /// Dumps the retained events as JSONL, oldest first (one JSON object
+    /// per line, trailing newline after each).
+    pub(crate) fn dump_jsonl(&self) -> String {
         let mut out = String::new();
-        for record in &self.events {
-            out.push_str(&record.to_json());
+        for record in &self.records {
+            let header = JsonObject::new()
+                .field_u64("t_ms", record.time_ms)
+                .field_u64("node", self.node)
+                .field_u64("seq", record.seq)
+                .field_str("kind", record.event.kind());
+            out.push_str(&record.event.write_fields(header).finish());
             out.push('\n');
         }
         out
@@ -269,9 +260,9 @@ pub struct ParsedRecord {
     pub time_ms: u64,
     /// Recording node.
     pub node: u64,
-    /// Recorder sequence number.
+    /// Ring sequence number.
     pub seq: u64,
-    /// The event-kind discriminant (see [`TraceEvent::kind`]).
+    /// The event-kind discriminant (see [`Event::kind`]).
     pub kind: String,
     /// The event's remaining fields, in written order.
     pub fields: Vec<(String, JsonValue)>,
@@ -284,9 +275,8 @@ impl ParsedRecord {
     }
 }
 
-/// Parses a flight-recorder JSONL dump back into records. Every line
-/// must be a flat JSON object with the `t_ms`/`node`/`seq`/`kind`
-/// header fields.
+/// Parses a ring's JSONL dump back into records. Every line must be a
+/// flat JSON object with the `t_ms`/`node`/`seq`/`kind` header fields.
 pub fn parse_jsonl(text: &str) -> Result<Vec<ParsedRecord>, String> {
     let mut records = Vec::new();
     for (idx, line) in text.lines().enumerate() {
@@ -322,46 +312,61 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<ParsedRecord>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::span::Stage;
 
     #[test]
     fn dump_round_trips_through_the_parser() {
-        let mut recorder = FlightRecorder::new(8);
-        recorder.record(
-            1,
-            0,
-            TraceEvent::MessageDelivered {
-                kind: "preprepare".into(),
-            },
-        );
-        recorder.record(2, 0, TraceEvent::Decide { sn: 1, origin: 3 });
-        recorder.record(
+        let mut ring = Ring::new(0, 8);
+        ring.push(1, Event::MessageDelivered { kind: "preprepare" });
+        ring.push(2, Event::Decide { sn: 1, origin: 3 });
+        ring.push(
             3,
-            0,
-            TraceEvent::TimerFired {
-                timer: "view-change(1)".into(),
+            Event::TimerFired {
+                timer: "view-change",
+                arg: 1,
                 generation: 2,
                 stale: true,
             },
         );
-        let dump = recorder.dump_jsonl();
-        let parsed = parse_jsonl(&dump).expect("dump parses");
-        assert_eq!(parsed.len(), 3);
+        ring.push(
+            4,
+            Event::Span(Span {
+                trace_id: 9,
+                span_id: 10,
+                parent_span: 0,
+                stage: Stage::Record,
+                node: 0,
+                train: 0,
+                sn: 0,
+                start_ms: 4,
+                end_ms: 4,
+            }),
+        );
+        let parsed = parse_jsonl(&ring.dump_jsonl()).expect("dump parses");
+        assert_eq!(parsed.len(), 4);
         assert_eq!(parsed[0].kind, "message");
         assert_eq!(parsed[1].kind, "decide");
         assert_eq!(parsed[1].field("sn"), Some(&JsonValue::U64(1)));
         assert_eq!(parsed[2].field("stale"), Some(&JsonValue::Bool(true)));
+        assert_eq!(parsed[2].field("arg"), Some(&JsonValue::U64(1)));
         assert_eq!(parsed[2].seq, 2);
+        assert_eq!(parsed[3].kind, "span");
+        assert_eq!(
+            parsed[3].field("stage"),
+            Some(&JsonValue::Str("record".into()))
+        );
+        assert_eq!(parsed[3].field("node"), None, "the header names the node");
     }
 
     #[test]
     fn eviction_preserves_sequence_numbers() {
-        let mut recorder = FlightRecorder::new(2);
+        let mut ring = Ring::new(1, 2);
         for sn in 0..4 {
-            recorder.record(sn, 1, TraceEvent::Checkpoint { sn });
+            ring.push(sn, Event::Checkpoint { sn });
         }
-        let tail = recorder.tail(2);
-        assert_eq!(tail[0].seq, 2);
-        assert_eq!(tail[1].seq, 3);
-        assert_eq!(recorder.len(), 2);
+        let parsed = parse_jsonl(&ring.dump_jsonl()).unwrap();
+        let seqs: Vec<u64> = parsed.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![2, 3]);
+        assert!(parsed.iter().all(|r| r.node == 1));
     }
 }

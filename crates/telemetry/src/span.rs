@@ -1,22 +1,23 @@
-//! Causal spans: the distributed-tracing half of the telemetry crate
+//! Causal spans: the distributed-tracing view of the event model
 //! (DESIGN.md §17).
 //!
 //! A [`Span`] is one pipeline stage of one request's lifecycle on one
-//! node, timestamped from the same runtime-driven clock as the flight
-//! recorder — virtual milliseconds under the simulator, so a seeded run
-//! dumps byte-identical spans. Spans land in a per-node ring buffer
-//! (like the flight recorder) *and*, when the runtime wires one up, in
-//! a cluster-shared [`TraceStore`] that joins spans across nodes by
-//! trace id so the serving layer can assemble a whole lifecycle.
+//! node, timestamped from the same runtime-driven clock as every other
+//! event — virtual milliseconds under the simulator, so a seeded run
+//! serves byte-identical traces. Spans are recorded as
+//! [`Event::Span`](crate::Event::Span) into the recording handle's ring;
+//! a [`TraceStore`] joins them across nodes by trace id by scanning the
+//! rings of the handles created with it.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::Mutex;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Arc, Mutex};
 
-use crate::json::{parse_flat_object, push_field, JsonValue};
+use crate::json::JsonObject;
+use crate::recorder::Ring;
 
 /// The pipeline stages of a request's life, in causal order. The
 /// vocabulary is closed: stage names appear in metric labels, JSONL
-/// dumps, and the trace API, and the assembly order below is the
+/// dumps, and the trace API, and the declaration order below is the
 /// canonical chain order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Stage {
@@ -78,12 +79,7 @@ impl Stage {
 
     /// Position in the canonical chain order.
     pub fn order(self) -> usize {
-        STAGES.iter().position(|s| *s == self).expect("closed enum")
-    }
-
-    /// Parses the string form written by [`as_str`](Self::as_str).
-    pub fn parse(s: &str) -> Option<Self> {
-        STAGES.iter().copied().find(|stage| stage.as_str() == s)
+        self as usize
     }
 }
 
@@ -94,7 +90,7 @@ impl std::fmt::Display for Stage {
 }
 
 /// One stage of one request's lifecycle on one node.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     /// Trace this span belongs to
     /// ([`zugchain_wire::derive_trace_id`]-compatible; never 0 for a
@@ -124,158 +120,58 @@ impl Span {
         self.end_ms.saturating_sub(self.start_ms)
     }
 
-    /// Renders this span as one flat JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let mut first = true;
-        push_field(
-            &mut out,
-            &mut first,
-            "trace_id",
-            &JsonValue::U64(self.trace_id),
-        );
-        push_field(
-            &mut out,
-            &mut first,
-            "span_id",
-            &JsonValue::U64(self.span_id),
-        );
-        push_field(
-            &mut out,
-            &mut first,
-            "parent_span",
-            &JsonValue::U64(self.parent_span),
-        );
-        push_field(
-            &mut out,
-            &mut first,
-            "stage",
-            &JsonValue::Str(self.stage.as_str().to_string()),
-        );
-        push_field(&mut out, &mut first, "node", &JsonValue::U64(self.node));
-        push_field(&mut out, &mut first, "train", &JsonValue::U64(self.train));
-        push_field(&mut out, &mut first, "sn", &JsonValue::U64(self.sn));
-        push_field(
-            &mut out,
-            &mut first,
-            "start_ms",
-            &JsonValue::U64(self.start_ms),
-        );
-        push_field(&mut out, &mut first, "end_ms", &JsonValue::U64(self.end_ms));
-        out.push('}');
-        out
-    }
-}
-
-/// Parses a span JSONL dump back into [`Span`]s — the inverse of
-/// concatenating [`Span::to_json`] lines.
-///
-/// # Errors
-///
-/// A message naming the first offending line.
-pub fn parse_span_jsonl(text: &str) -> Result<Vec<Span>, String> {
-    let mut spans = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let fields = parse_flat_object(line).map_err(|e| format!("line {}: {e}", idx + 1))?;
-        let get_u64 = |name: &str| {
-            fields
-                .iter()
-                .find(|(k, _)| k == name)
-                .and_then(|(_, v)| v.as_u64())
-                .ok_or_else(|| format!("line {}: missing {name}", idx + 1))
+    /// Appends the span's fields to `obj` in served order; `node` is
+    /// left out where the enclosing record already names it.
+    pub(crate) fn write_fields(&self, obj: JsonObject, with_node: bool) -> JsonObject {
+        let obj = obj
+            .field_u64("trace_id", self.trace_id)
+            .field_u64("span_id", self.span_id)
+            .field_u64("parent_span", self.parent_span)
+            .field_str("stage", self.stage.as_str());
+        let obj = if with_node {
+            obj.field_u64("node", self.node)
+        } else {
+            obj
         };
-        let stage_str = fields
-            .iter()
-            .find(|(k, _)| k == "stage")
-            .and_then(|(_, v)| v.as_str())
-            .ok_or_else(|| format!("line {}: missing stage", idx + 1))?;
-        let stage = Stage::parse(stage_str)
-            .ok_or_else(|| format!("line {}: unknown stage {stage_str:?}", idx + 1))?;
-        spans.push(Span {
-            trace_id: get_u64("trace_id")?,
-            span_id: get_u64("span_id")?,
-            parent_span: get_u64("parent_span")?,
-            stage,
-            node: get_u64("node")?,
-            train: get_u64("train")?,
-            sn: get_u64("sn")?,
-            start_ms: get_u64("start_ms")?,
-            end_ms: get_u64("end_ms")?,
-        });
-    }
-    Ok(spans)
-}
-
-/// A fixed-capacity ring of spans: one per node, alongside the flight
-/// recorder, so a post-mortem has the node's own span tail even when no
-/// shared store was wired.
-#[derive(Debug)]
-pub struct SpanBuffer {
-    capacity: usize,
-    spans: VecDeque<Span>,
-}
-
-impl SpanBuffer {
-    /// An empty buffer retaining at most `capacity` spans (minimum 1).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            capacity: capacity.max(1),
-            spans: VecDeque::new(),
-        }
+        obj.field_u64("train", self.train)
+            .field_u64("sn", self.sn)
+            .field_u64("start_ms", self.start_ms)
+            .field_u64("end_ms", self.end_ms)
     }
 
-    /// Appends a span, evicting the oldest when full.
-    pub fn record(&mut self, span: Span) {
-        if self.spans.len() == self.capacity {
-            self.spans.pop_front();
-        }
-        self.spans.push_back(span);
+    /// Renders this span as one flat JSON object (no trailing newline)
+    /// — the element type of a served lifecycle.
+    pub fn to_json(&self) -> String {
+        self.write_fields(JsonObject::new(), true).finish()
     }
 
-    /// Retained spans, oldest first.
-    pub fn spans(&self) -> impl Iterator<Item = &Span> {
-        self.spans.iter()
-    }
-
-    /// Number of retained spans.
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// Whether nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
-    /// Dumps the retained spans as JSONL, oldest first.
-    pub fn dump_jsonl(&self) -> String {
-        let mut out = String::new();
-        for span in &self.spans {
-            out.push_str(&span.to_json());
-            out.push('\n');
-        }
-        out
+    /// Canonical order within one trace: stage, node, start, end, then
+    /// every remaining field, so the order is total and never depends on
+    /// which ring a span was read from.
+    fn canonical_key(&self) -> (Stage, u64, u64, u64, u64, u64, u64, u64) {
+        (
+            self.stage,
+            self.node,
+            self.start_ms,
+            self.end_ms,
+            self.span_id,
+            self.parent_span,
+            self.train,
+            self.sn,
+        )
     }
 }
 
-#[derive(Debug, Default)]
-struct StoreInner {
-    by_trace: BTreeMap<u64, Vec<Span>>,
-    /// Secondary index: consensus sn → trace ids whose spans carry it.
-    /// Invariant-violation dumps look up by sn (that is what a decide
-    /// conflict or equivocation names), not by trace id.
-    by_sn: BTreeMap<u64, BTreeSet<u64>>,
-}
-
-/// The cluster-shared join point: every node's spans keyed by trace id.
-/// One store per cluster/simulation; cloning the `Arc` it lives behind
-/// is how runtimes hand it to each node's `Telemetry`.
+/// The cluster-wide read view over the rings of every handle created
+/// with it ([`Telemetry::new_with_store`](crate::Telemetry::new_with_store)
+/// and the [`for_train`](crate::Telemetry::for_train) derivatives of
+/// those handles). It stores no spans itself: every read scans the
+/// rings, so recording never takes a cluster-wide lock and memory stays
+/// bounded by the rings' capacity. A span evicted from its ring is gone
+/// from every read.
 #[derive(Debug, Default)]
 pub struct TraceStore {
-    inner: Mutex<StoreInner>,
+    rings: Mutex<Vec<Arc<Mutex<Ring>>>>,
 }
 
 impl TraceStore {
@@ -284,73 +180,68 @@ impl TraceStore {
         Self::default()
     }
 
-    /// Records one span.
-    pub fn record(&self, span: Span) {
-        let mut inner = self.inner.lock().expect("trace store poisoned");
-        if span.sn != 0 {
-            inner
-                .by_sn
-                .entry(span.sn)
-                .or_default()
-                .insert(span.trace_id);
+    /// Adds one handle's ring to the view.
+    pub(crate) fn attach(&self, ring: Arc<Mutex<Ring>>) {
+        self.rings.lock().expect("trace store poisoned").push(ring);
+    }
+
+    /// Calls `visit` with every span the attached rings still hold.
+    fn for_each_span(&self, mut visit: impl FnMut(&Span)) {
+        for ring in self.rings.lock().expect("trace store poisoned").iter() {
+            ring.lock()
+                .expect("ring poisoned")
+                .spans()
+                .for_each(&mut visit);
         }
-        inner.by_trace.entry(span.trace_id).or_default().push(span);
     }
 
-    /// Number of distinct traces recorded.
+    /// Number of distinct traces with a retained span.
     pub fn trace_count(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("trace store poisoned")
-            .by_trace
-            .len()
+        self.trace_ids().len()
     }
 
-    /// Every recorded trace id, ascending.
+    /// Every trace id with a retained span, ascending.
     pub fn trace_ids(&self) -> Vec<u64> {
-        self.inner
-            .lock()
-            .expect("trace store poisoned")
-            .by_trace
-            .keys()
-            .copied()
-            .collect()
+        let mut ids = BTreeSet::new();
+        self.for_each_span(|span| {
+            ids.insert(span.trace_id);
+        });
+        ids.into_iter().collect()
     }
 
     /// Trace ids that have a span carrying consensus sequence number
-    /// `sn`, ascending. More than one id at one sn is itself evidence:
-    /// honest replicas decide exactly one request per sn.
+    /// `sn` (never 0, which means "not yet ordered"), ascending. More
+    /// than one id at one sn is itself evidence: honest replicas decide
+    /// exactly one request per sn.
     pub fn traces_for_sn(&self, sn: u64) -> Vec<u64> {
-        self.inner
-            .lock()
-            .expect("trace store poisoned")
-            .by_sn
-            .get(&sn)
-            .map(|ids| ids.iter().copied().collect())
-            .unwrap_or_default()
+        let mut ids = BTreeSet::new();
+        self.for_each_span(|span| {
+            if sn != 0 && span.sn == sn {
+                ids.insert(span.trace_id);
+            }
+        });
+        ids.into_iter().collect()
     }
 
-    /// Assembles one trace: every node's spans for `trace_id`, sorted
-    /// canonically (stage order, then node, then start time) so the
-    /// result is deterministic regardless of arrival interleaving.
+    /// Assembles one trace: every retained span for `trace_id`, in
+    /// canonical order (stage order, then node, then start time, then
+    /// the remaining fields), duplicates removed.
     pub fn assemble(&self, trace_id: u64) -> Vec<Span> {
-        let mut spans = self
-            .inner
-            .lock()
-            .expect("trace store poisoned")
-            .by_trace
-            .get(&trace_id)
-            .cloned()
-            .unwrap_or_default();
-        spans.sort_by_key(|s| (s.stage.order(), s.node, s.start_ms, s.end_ms));
+        let mut spans = Vec::new();
+        self.for_each_span(|span| {
+            if span.trace_id == trace_id {
+                spans.push(*span);
+            }
+        });
+        spans.sort_by_key(Span::canonical_key);
         spans.dedup();
         spans
     }
 
     /// Renders one trace as an indented span tree (one line per span,
     /// children under their parent), preceded by a header line. The
-    /// chaos harness writes this next to the flight-recorder dump on an
-    /// invariant violation.
+    /// chaos harness writes this next to the ring dumps on an invariant
+    /// violation.
     pub fn render_tree(&self, trace_id: u64) -> String {
         let spans = self.assemble(trace_id);
         let mut out = format!("trace {trace_id}: {} spans\n", spans.len());
@@ -385,19 +276,6 @@ impl TraceStore {
         }
         for root in roots {
             walk(&mut out, root, 0, &children);
-        }
-        out
-    }
-
-    /// Dumps every trace's spans as JSONL, ordered by trace id then
-    /// canonical span order.
-    pub fn dump_jsonl(&self) -> String {
-        let mut out = String::new();
-        for trace_id in self.trace_ids() {
-            for span in self.assemble(trace_id) {
-                out.push_str(&span.to_json());
-                out.push('\n');
-            }
         }
         out
     }
@@ -472,6 +350,7 @@ pub fn check_chain(spans: &[Span], required: &[Stage]) -> ChainCheck {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{parse_flat_object, JsonValue, Registry, Telemetry};
 
     fn span(stage: Stage, node: u64, start: u64, end: u64) -> Span {
         Span {
@@ -496,12 +375,31 @@ mod tests {
             .wrapping_add(node)
     }
 
+    /// A store joined over `nodes` handles of ring capacity `capacity`.
+    fn joined(nodes: u64, capacity: usize) -> (Arc<TraceStore>, Vec<Telemetry>) {
+        let registry = Arc::new(Registry::new());
+        let store = Arc::new(TraceStore::new());
+        let handles = (0..nodes)
+            .map(|node| {
+                Telemetry::new_with_store(
+                    node,
+                    Arc::clone(&registry),
+                    capacity,
+                    Some(Arc::clone(&store)),
+                )
+            })
+            .collect();
+        (store, handles)
+    }
+
     #[test]
     fn stage_vocabulary_round_trips() {
+        let names: std::collections::BTreeSet<&str> = STAGES.iter().map(|s| s.as_str()).collect();
+        assert_eq!(names.len(), STAGES.len(), "stage names are distinct");
         for stage in STAGES {
-            assert_eq!(Stage::parse(stage.as_str()), Some(stage));
+            assert_eq!(STAGES[stage.order()], stage);
+            assert_eq!(stage.to_string(), stage.as_str());
         }
-        assert_eq!(Stage::parse("warp"), None);
         assert_eq!(Stage::Record.order(), 0);
         assert_eq!(Stage::Servable.order(), STAGES.len() - 1);
     }
@@ -509,27 +407,34 @@ mod tests {
     #[test]
     fn span_json_round_trips() {
         let s = span(Stage::Decide, 2, 10, 12);
-        let parsed = parse_span_jsonl(&format!("{}\n", s.to_json())).unwrap();
-        assert_eq!(parsed, vec![s]);
+        let fields = parse_flat_object(&s.to_json()).unwrap();
+        let get = |name: &str| fields.iter().find(|(k, _)| k == name).map(|(_, v)| v);
+        assert_eq!(get("trace_id"), Some(&JsonValue::U64(s.trace_id)));
+        assert_eq!(get("stage"), Some(&JsonValue::Str("decide".into())));
+        assert_eq!(get("node"), Some(&JsonValue::U64(2)));
+        assert_eq!(get("end_ms"), Some(&JsonValue::U64(12)));
+        assert_eq!(fields.len(), 9);
     }
 
     #[test]
     fn buffer_keeps_the_newest_spans() {
-        let mut buffer = SpanBuffer::new(2);
-        for i in 0..5u64 {
-            buffer.record(span(Stage::Record, i, i, i));
+        // One ring of capacity 2: the store sees only the newest two.
+        let (store, handles) = joined(1, 2);
+        for start in 0..5u64 {
+            let mut s = span(Stage::Record, 0, start, start);
+            s.trace_id = start + 1;
+            handles[0].record(|| s);
         }
-        let kept: Vec<u64> = buffer.spans().map(|s| s.node).collect();
-        assert_eq!(kept, vec![3, 4]);
+        assert_eq!(store.trace_ids(), vec![4, 5]);
     }
 
     #[test]
     fn store_joins_across_nodes_and_sorts_canonically() {
-        let store = TraceStore::new();
+        let (store, handles) = joined(2, 8);
         // Recorded out of order, across nodes.
-        store.record(span(Stage::Commit, 1, 20, 21));
-        store.record(span(Stage::Record, 0, 1, 2));
-        store.record(span(Stage::Commit, 0, 19, 22));
+        handles[1].record(|| span(Stage::Commit, 1, 20, 21));
+        handles[0].record(|| span(Stage::Record, 0, 1, 2));
+        handles[0].record(|| span(Stage::Commit, 0, 19, 22));
         let spans = store.assemble(7);
         assert_eq!(spans.len(), 3);
         assert_eq!(spans[0].stage, Stage::Record);
@@ -537,6 +442,23 @@ mod tests {
         assert_eq!(spans[2].node, 1);
         assert_eq!(store.traces_for_sn(4), vec![7]);
         assert!(store.traces_for_sn(5).is_empty());
+        assert!(store.traces_for_sn(0).is_empty());
+        // Ties on (stage, node, start, end) fall back to the other
+        // fields, so ring scan order (node 0's ring first) never
+        // reaches the result.
+        let mut a = span(Stage::Prepare, 0, 5, 6);
+        let mut b = a;
+        a.parent_span = 1;
+        b.parent_span = 2;
+        handles[1].record(|| a);
+        handles[0].record(|| b);
+        let prepares: Vec<u64> = store
+            .assemble(7)
+            .iter()
+            .filter(|s| s.stage == Stage::Prepare)
+            .map(|s| s.parent_span)
+            .collect();
+        assert_eq!(prepares, vec![1, 2]);
     }
 
     #[test]
@@ -565,13 +487,12 @@ mod tests {
 
     #[test]
     fn tree_renders_roots_and_children() {
-        let store = TraceStore::new();
-        let mut record = span(Stage::Record, 0, 1, 2);
-        record.parent_span = 0;
+        let (store, handles) = joined(1, 8);
+        let record = span(Stage::Record, 0, 1, 2);
         let mut decide = span(Stage::Decide, 0, 5, 6);
         decide.parent_span = record.span_id;
-        store.record(record);
-        store.record(decide);
+        handles[0].record(|| record);
+        handles[0].record(|| decide);
         let tree = store.render_tree(7);
         assert!(tree.starts_with("trace 7: 2 spans\n"), "{tree}");
         assert!(tree.contains("record node=0"), "{tree}");

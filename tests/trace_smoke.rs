@@ -2,8 +2,12 @@
 //! decided chain driven through export → archive → HTTP serving, with
 //! the `/v1/trains/<id>/trace/<sn>` endpoint answering a complete,
 //! monotonically-timestamped span lifecycle for every archived request.
+//!
+//! Set `ZUGCHAIN_TRACE_OUT=<dir>` to keep the artifacts: the served
+//! trace bodies as `traces.jsonl` and the exposition as `metrics.prom`.
 
 use zugchain_sim::{run_traced_pipeline, Mode, ScenarioConfig, TracedPipelineOutcome, Workload};
+use zugchain_telemetry::parse_jsonl;
 
 /// The canonical stage order every served lifecycle must pass through.
 const STAGE_ORDER: [&str; 10] = [
@@ -57,6 +61,12 @@ fn assert_complete(outcome: &TracedPipelineOutcome) {
 fn every_archived_request_serves_a_complete_span_chain() {
     let outcome = run_traced_pipeline(&quick(), 42);
     assert_complete(&outcome);
+    // The default ring capacity holds the whole run: no node evicted
+    // anything, so `/trace/<sn>` served every span ever recorded.
+    for (node, telemetry) in outcome.capture.nodes.iter().enumerate() {
+        let records = parse_jsonl(&telemetry.dump_jsonl()).expect("ring dump parses");
+        assert_eq!(records[0].seq, 0, "node {node} evicted part of the run");
+    }
     assert_eq!(
         outcome.record_to_servable_count, outcome.archived_requests as u64,
         "record_to_servable must observe exactly one latency per archived request"
@@ -73,6 +83,13 @@ fn every_archived_request_serves_a_complete_span_chain() {
             .contains("zugchain_stage_latency_ms_bucket"),
         "per-stage latency histograms missing from the exposition"
     );
+    if let Some(dir) = std::env::var_os("ZUGCHAIN_TRACE_OUT") {
+        let dir = std::path::PathBuf::from(dir);
+        std::fs::create_dir_all(&dir).expect("create artifact directory");
+        std::fs::write(dir.join("traces.jsonl"), outcome.trace_fingerprint())
+            .expect("write trace bodies");
+        std::fs::write(dir.join("metrics.prom"), &outcome.exposition).expect("write exposition");
+    }
 }
 
 #[test]
