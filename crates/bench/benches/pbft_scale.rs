@@ -1,23 +1,20 @@
-//! Vote-communication scaling: orders a fixed stream of 256-byte
-//! requests through groups of n = 4, 8, 16 and 32 replicas in both
-//! communication modes. All-to-all is the textbook PBFT exchange —
-//! every replica broadcasts its prepare and commit, O(n²) vote traffic
-//! per slot. Collector mode routes both vote phases through the slot's
-//! deterministic collector, which broadcasts one aggregated certificate
-//! per phase — O(n) traffic — so the per-replica message count should
-//! stay near-flat as n grows while all-to-all's climbs linearly.
+//! Ordering cost at the deployment shapes: orders a fixed stream of
+//! 256-byte requests through all-to-all PBFT groups of n = 4 (one train's
+//! group) and n = 7 (the next size that tolerates two faults). Every
+//! replica broadcasts its prepare and commit, so vote traffic per slot
+//! grows with n.
 //!
 //! Besides the wall-clock `bench-result:` lines from the criterion
-//! shim, each configuration prints one extra machine-readable line,
+//! shim, each group size prints one extra machine-readable line,
 //!
 //! ```text
-//! bench-result: pbft/scale_msgs/<mode>/<n> msgs_per_replica=M sigs_verified_per_replica=S
+//! bench-result: pbft/scale_msgs/<n> msgs_per_replica_per_req=M sigs_verified_per_replica_per_req=S
 //! ```
 //!
-//! with the per-replica totals over the whole stream, measured on an
-//! untimed accounting run (`Send` counts 1, `Broadcast` counts n − 1).
-//! The CI bench-smoke gate checks collector mode beats all-to-all on
-//! messages per replica at n = 16.
+//! with the messages each replica put on the wire and the signatures it
+//! verified, averaged over replicas and divided by the requests each
+//! replica decided. They come from an untimed accounting run (`Send`
+//! counts 1, `Broadcast` counts n − 1).
 //!
 //! Set `ZUGCHAIN_BENCH_QUICK=1` for the CI smoke variant (shorter
 //! stream, fewer samples).
@@ -25,10 +22,10 @@
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use zugchain_crypto::Keystore;
 use zugchain_machine::Effect;
-use zugchain_pbft::{CommMode, Config, NodeId, ProposedRequest, Replica, ReplicaEvent};
+use zugchain_pbft::{Config, NodeId, ProposedRequest, Replica, ReplicaEvent};
 
-fn fresh_group(n: usize, comm_mode: CommMode) -> Vec<Replica> {
-    let config = Config::new(n).unwrap().with_comm_mode(comm_mode);
+fn fresh_group(n: usize) -> Vec<Replica> {
+    let config = Config::new(n).unwrap();
     let (pairs, keystore) = Keystore::generate(n, 7);
     pairs
         .into_iter()
@@ -89,49 +86,45 @@ fn bench_scale(c: &mut Criterion) {
     let requests = if quick { 16usize } else { 64 };
     let mut group = c.benchmark_group("pbft/scale");
     group.sample_size(if quick { 3 } else { 10 });
-    let mut accounting: Vec<(String, u64, u64)> = Vec::new();
-    for n in [4usize, 8, 16, 32] {
-        for (comm_mode, label) in [
-            (CommMode::AllToAll, "all-to-all"),
-            (CommMode::Collector, "collector"),
-        ] {
-            group.throughput(Throughput::Elements(requests as u64));
-            group.bench_with_input(BenchmarkId::new(label, n), &n, |b, &n| {
-                b.iter_batched(
-                    || fresh_group(n, comm_mode),
-                    |mut replicas| {
-                        let mut sent = vec![0u64; n];
-                        let decided = order_stream(&mut replicas, requests, &mut sent);
-                        assert_eq!(decided, n * requests);
-                        decided
-                    },
-                    BatchSize::LargeInput,
-                );
-            });
+    let mut accounting: Vec<(usize, f64, f64)> = Vec::new();
+    for n in [4usize, 7] {
+        group.throughput(Throughput::Elements(requests as u64));
+        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
+            b.iter_batched(
+                || fresh_group(n),
+                |mut replicas| {
+                    let mut sent = vec![0u64; n];
+                    let decided = order_stream(&mut replicas, requests, &mut sent);
+                    assert_eq!(decided, n * requests);
+                    decided
+                },
+                BatchSize::LargeInput,
+            );
+        });
 
-            // Untimed accounting run: the message flow is deterministic,
-            // so one pass gives exact per-replica counts.
-            let mut replicas = fresh_group(n, comm_mode);
-            let mut sent = vec![0u64; n];
-            let decided = order_stream(&mut replicas, requests, &mut sent);
-            assert_eq!(decided, n * requests);
-            let fallbacks: u64 = replicas
-                .iter()
-                .map(|replica| replica.stats().collector_fallbacks)
-                .sum();
-            assert_eq!(fallbacks, 0, "the quiet path must never fall back");
-            let msgs = sent.iter().sum::<u64>() / n as u64;
-            let sigs = replicas
-                .iter()
-                .map(|replica| replica.stats().signatures_verified)
-                .sum::<u64>()
-                / n as u64;
-            accounting.push((format!("pbft/scale_msgs/{label}/{n}"), msgs, sigs));
-        }
+        // Untimed accounting run: the message flow is deterministic,
+        // so one pass gives exact per-replica counts.
+        let mut replicas = fresh_group(n);
+        let mut sent = vec![0u64; n];
+        let decided = order_stream(&mut replicas, requests, &mut sent);
+        assert_eq!(decided, n * requests);
+        let per_replica_per_req = |total: u64| total as f64 / decided as f64;
+        let sigs = replicas
+            .iter()
+            .map(|replica| replica.stats().signatures_verified)
+            .sum();
+        accounting.push((
+            n,
+            per_replica_per_req(sent.iter().sum()),
+            per_replica_per_req(sigs),
+        ));
     }
     group.finish();
-    for (name, msgs, sigs) in accounting {
-        println!("bench-result: {name} msgs_per_replica={msgs} sigs_verified_per_replica={sigs}");
+    for (n, msgs, sigs) in accounting {
+        println!(
+            "bench-result: pbft/scale_msgs/{n} msgs_per_replica_per_req={msgs:.2} \
+             sigs_verified_per_replica_per_req={sigs:.2}"
+        );
     }
 }
 

@@ -29,7 +29,6 @@ use zugchain_bench::{
     fmt, row, run_averaged, run_pair, CYCLE_SWEEP_MS, EXPORT_BLOCK_COUNTS, FABRICATE_RATES,
     PAYLOAD_SWEEP_BYTES,
 };
-use zugchain_pbft::CommMode;
 use zugchain_sim::{
     run_scenario, run_traced_pipeline, simulate_export, ExportSimConfig, Mode, ScenarioConfig,
     Workload,
@@ -420,69 +419,54 @@ fn ablation_timeouts(profile: Profile) {
 
 /// A8: where a request's time goes, stage by stage. Runs the traced
 /// pipeline (3 s at a 64 ms cycle, then one export round, archive ingest
-/// and HTTP serving) in both communication modes, assembles every
-/// archived request's lifecycle, and prints the mean delay between the
-/// first spans of consecutive stages in virtual milliseconds.
+/// and HTTP serving), assembles every archived request's lifecycle, and
+/// prints the mean delay between the first spans of consecutive stages
+/// in virtual milliseconds.
 fn a8_stages() {
     header("A8: per-stage provenance latency (cycle 64 ms, 3 s run, mean ms)");
-    let mut columns = Vec::new();
-    for comm_mode in [CommMode::AllToAll, CommMode::Collector] {
-        let mut config = ScenarioConfig {
-            mode: Mode::Zugchain,
-            duration_ms: 3_000,
-            bus_cycle_ms: 64,
-            workload: Workload::SyntheticPayload { bytes: 256 },
-            ..ScenarioConfig::default()
-        };
-        config.node_config.pbft = config.node_config.pbft.with_comm_mode(comm_mode);
-        let outcome = run_traced_pipeline(&config, 7);
-        let store = &outcome.capture.trace_store;
-        // Per trace: the earliest start of every stage, in chain order.
-        let firsts: Vec<Vec<u64>> = outcome
-            .archived_sns
-            .iter()
-            .flat_map(|&sn| store.traces_for_sn(sn))
-            .filter_map(|id| {
-                let spans = store.assemble(id);
-                STAGES
-                    .iter()
-                    .map(|stage| {
-                        spans
-                            .iter()
-                            .filter(|s| s.stage == *stage)
-                            .map(|s| s.start_ms)
-                            .min()
-                    })
-                    .collect()
-            })
-            .collect();
-        let mean = |from: Stage, to: Stage| {
-            let total: u64 = firsts
+    let config = ScenarioConfig {
+        mode: Mode::Zugchain,
+        duration_ms: 3_000,
+        bus_cycle_ms: 64,
+        workload: Workload::SyntheticPayload { bytes: 256 },
+        ..ScenarioConfig::default()
+    };
+    let outcome = run_traced_pipeline(&config, 7);
+    let store = &outcome.capture.trace_store;
+    // Per trace: the earliest start of every stage, in chain order.
+    let firsts: Vec<Vec<u64>> = outcome
+        .archived_sns
+        .iter()
+        .flat_map(|&sn| store.traces_for_sn(sn))
+        .filter_map(|id| {
+            let spans = store.assemble(id);
+            STAGES
                 .iter()
-                .map(|f| f[to.order()].saturating_sub(f[from.order()]))
-                .sum();
-            total as f64 / firsts.len().max(1) as f64
-        };
-        let mut column: Vec<f64> = STAGES.windows(2).map(|w| mean(w[0], w[1])).collect();
-        column.push(mean(Stage::Record, Stage::Decide));
-        column.push(mean(Stage::Decide, Stage::Servable));
-        println!("{comm_mode:?}: {} complete lifecycles", firsts.len());
-        columns.push(column);
-    }
-    let labels: Vec<String> = STAGES
-        .windows(2)
-        .map(|w| format!("{} -> {}", w[0], w[1]))
-        .chain(["record -> decide".into(), "decide -> servable".into()])
+                .map(|stage| {
+                    spans
+                        .iter()
+                        .filter(|s| s.stage == *stage)
+                        .map(|s| s.start_ms)
+                        .min()
+                })
+                .collect()
+        })
         .collect();
-    println!(
-        "{:>26} {:>12} {:>12}",
-        "transition", "all-to-all", "collector"
-    );
-    for (i, label) in labels.iter().enumerate() {
-        println!(
-            "{label:>26} {:>12} {:>12}",
-            fmt(columns[0][i]),
-            fmt(columns[1][i])
-        );
+    let mean = |from: Stage, to: Stage| {
+        let total: u64 = firsts
+            .iter()
+            .map(|f| f[to.order()].saturating_sub(f[from.order()]))
+            .sum();
+        total as f64 / firsts.len().max(1) as f64
+    };
+    println!("{} complete lifecycles", firsts.len());
+    println!("{:>26} {:>12}", "transition", "mean");
+    let transitions = STAGES.windows(2).map(|w| (w[0], w[1])).chain([
+        (Stage::Record, Stage::Decide),
+        (Stage::Decide, Stage::Servable),
+    ]);
+    for (from, to) in transitions {
+        let label = format!("{from} -> {to}");
+        println!("{label:>26} {:>12}", fmt(mean(from, to)));
     }
 }

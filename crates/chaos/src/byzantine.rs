@@ -130,25 +130,6 @@ impl ByzNode {
         }
     }
 
-    /// Corrupts every inner signature of an outbound vote certificate —
-    /// each is replaced with this node's own signature over unrelated
-    /// bytes — and re-signs the envelope correctly. Honest receivers
-    /// must reject every inner vote: the envelope is not the authority.
-    fn forge_cert(&self, signed: SignedMessage) -> SignedMessage {
-        let corrupt = |mut cert: zugchain_pbft::VoteCert| {
-            for (_, signature) in &mut cert.signatures {
-                *signature = self.key.sign(b"forged certificate vote");
-            }
-            cert
-        };
-        let message = match signed.message {
-            Message::PrepareCert(cert) => Message::PrepareCert(corrupt(cert)),
-            Message::CommitCert(cert) => Message::CommitCert(corrupt(cert)),
-            other => other,
-        };
-        SignedMessage::sign(signed.from, message, &self.key)
-    }
-
     /// Re-tags `signed` with session MACs derived from the wrong master
     /// secret and strips the signature — a forgery every honest receiver
     /// must reject, whatever its own auth mode.
@@ -201,50 +182,6 @@ impl TrainNode for ByzNode {
                 .into_iter()
                 .filter(|e| !matches!(e, Effect::Send { .. } | Effect::Broadcast { .. }))
                 .collect(),
-            Some(ByzBehavior::CollectorSilent) => {
-                let me = self.inner.id();
-                effects
-                    .into_iter()
-                    .filter(|effect| {
-                        let signed = match effect {
-                            Effect::Broadcast {
-                                message: NodeMessage::Consensus(signed),
-                            }
-                            | Effect::Send {
-                                message: NodeMessage::Consensus(signed),
-                                ..
-                            } => signed,
-                            _ => return true,
-                        };
-                        signed.from != me
-                            || !matches!(
-                                signed.message,
-                                Message::PrepareCert(_) | Message::CommitCert(_)
-                            )
-                    })
-                    .collect()
-            }
-            Some(ByzBehavior::ForgeCert) => {
-                let me = self.inner.id();
-                effects
-                    .into_iter()
-                    .map(|effect| match effect {
-                        Effect::Broadcast {
-                            message: NodeMessage::Consensus(signed),
-                        } if signed.from == me
-                            && matches!(
-                                signed.message,
-                                Message::PrepareCert(_) | Message::CommitCert(_)
-                            ) =>
-                        {
-                            Effect::Broadcast {
-                                message: NodeMessage::Consensus(self.forge_cert(signed)),
-                            }
-                        }
-                        other => other,
-                    })
-                    .collect()
-            }
             Some(ByzBehavior::ForgeMac) => {
                 let me = self.inner.id();
                 effects

@@ -588,8 +588,7 @@ impl Chaos {
                 .expect("plan sizes are valid")
                 .with_max_batch_size(plan.max_batch_size)
                 .with_batch_delay(plan.batch_delay_ms)
-                .with_auth_mode(plan.auth_mode)
-                .with_comm_mode(plan.comm_mode),
+                .with_auth_mode(plan.auth_mode),
             block_size: plan.block_size,
             soft_timeout_ms: 100,
             hard_timeout_ms: 100,

@@ -10,7 +10,7 @@
 
 use crate::executor::{execute, ViolationKind};
 use crate::plan::{ChaosPlan, NetPlan};
-use zugchain_pbft::{AuthMode, CommMode};
+use zugchain_pbft::AuthMode;
 
 /// Minimizes `plan` while preserving a violation of `kind`, running at
 /// most `max_runs` candidate executions. Returns the smallest
@@ -101,15 +101,6 @@ pub fn minimize(plan: &ChaosPlan, kind: ViolationKind, max_runs: usize) -> Chaos
             }
         }
 
-        // Is the collector fast path relevant? Try all-to-all.
-        if best.comm_mode != CommMode::AllToAll {
-            let mut trial = best.clone();
-            trial.comm_mode = CommMode::AllToAll;
-            if budget.reproduces(&trial, kind) {
-                best.comm_mode = CommMode::AllToAll;
-            }
-        }
-
         // Simplify surviving crashes: no disk damage, or no restart gap.
         for i in 0..best.crashes.len() {
             if best.crashes[i].truncate_blocks > 0 || best.crashes[i].drop_proofs {
@@ -156,7 +147,6 @@ fn size_of(plan: &ChaosPlan) -> usize {
         + usize::from(plan.max_batch_size > 1)
         + usize::from(plan.net != NetPlan::RELIABLE)
         + usize::from(plan.auth_mode != AuthMode::Sig)
-        + usize::from(plan.comm_mode != CommMode::AllToAll)
 }
 
 /// ddmin-style chunked removal: tries dropping ever-smaller chunks while

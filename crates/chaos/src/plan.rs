@@ -11,7 +11,7 @@
 
 use rand::{rngs::StdRng, RngExt as _, SeedableRng as _};
 use std::collections::BTreeSet;
-use zugchain_pbft::{AuthMode, CommMode};
+use zugchain_pbft::AuthMode;
 
 /// How a Byzantine node misbehaves for the whole run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,15 +37,6 @@ pub enum ByzBehavior {
     /// node degenerates into a silent one — the safety invariants must
     /// hold and the untouched majority must keep deciding.
     ForgeMac,
-    /// Collector mode: corrupts every inner signature of the vote
-    /// certificates it broadcasts (re-signing the envelope correctly).
-    /// Honest receivers must reject every forged vote, so the cluster
-    /// degrades to the all-to-all fallback for slots this node collects.
-    ForgeCert,
-    /// Collector mode: swallows its own outbound vote certificates while
-    /// behaving honestly otherwise — the silent-collector fault the
-    /// per-phase fallback timer defends against.
-    CollectorSilent,
 }
 
 impl ByzBehavior {
@@ -198,10 +189,6 @@ pub struct ChaosPlan {
     /// (ops, faults, exports) are identical in both modes — the decided
     /// logs must be too.
     pub auth_mode: AuthMode,
-    /// How every replica routes its prepare/commit votes. Drawn from its
-    /// own RNG stream (like `auth_mode`), so every schedule draw stays
-    /// byte-identical whichever mode a seed lands on.
-    pub comm_mode: CommMode,
     /// If `true`, the `mutation-hooks` equivocation bug is armed on the
     /// initial primary (node 0). Used to prove the harness catches a
     /// deliberately injected consensus bug; never set by [`generate`].
@@ -381,29 +368,6 @@ impl ChaosPlan {
             }
         }
 
-        // The vote-routing axis likewise comes from a dedicated stream,
-        // drawn after the auth stream: every schedule above is identical
-        // whichever comm mode a seed lands on. Under collector mode a
-        // Byzantine node sometimes attacks the collector fast path
-        // itself — forging certificate signatures or swallowing its own
-        // certificates — instead of its scheduled misbehaviour.
-        let mut comm_rng = StdRng::seed_from_u64(seed ^ 0x434F_4C4C_4543_5452); // "COLLECTR"
-        let comm_mode = if comm_rng.random_bool(0.5) {
-            CommMode::Collector
-        } else {
-            CommMode::AllToAll
-        };
-        for byz in &mut byzantine {
-            let flip = comm_rng.random_bool(0.33);
-            if comm_mode == CommMode::Collector && flip {
-                byz.behavior = if comm_rng.random_bool(0.5) {
-                    ByzBehavior::ForgeCert
-                } else {
-                    ByzBehavior::CollectorSilent
-                };
-            }
-        }
-
         ChaosPlan {
             seed,
             n_nodes,
@@ -418,7 +382,6 @@ impl ChaosPlan {
             exports,
             net,
             auth_mode,
-            comm_mode,
             mutation: false,
         }
     }
@@ -440,14 +403,6 @@ impl ChaosPlan {
     #[must_use]
     pub fn with_auth_mode(mut self, auth_mode: AuthMode) -> Self {
         self.auth_mode = auth_mode;
-        self
-    }
-
-    /// Pins the vote-routing mode (sweep harnesses compare both modes
-    /// over the same seed rather than sampling it).
-    #[must_use]
-    pub fn with_comm_mode(mut self, comm_mode: CommMode) -> Self {
-        self.comm_mode = comm_mode;
         self
     }
 

@@ -15,7 +15,7 @@ use crate::plan::{
     ByzBehavior, ByzPlan, ChaosPlan, CrashPlan, ExportPlan, NetPlan, OpPlan, PartitionPlan,
     PrepareLossPlan,
 };
-use zugchain_pbft::{AuthMode, CommMode};
+use zugchain_pbft::AuthMode;
 
 /// Current repro file format version.
 pub const REPRO_VERSION: u64 = 1;
@@ -31,21 +31,26 @@ fn behavior_str(b: ByzBehavior) -> &'static str {
         ByzBehavior::FabricateBus => "fabricate-bus",
         ByzBehavior::EquivocateBatch => "equivocate-batch",
         ByzBehavior::ForgeMac => "forge-mac",
-        ByzBehavior::ForgeCert => "forge-cert",
-        ByzBehavior::CollectorSilent => "collector-silent",
     }
 }
 
-fn parse_behavior(s: &str) -> Option<ByzBehavior> {
-    Some(match s {
+/// The error for a repro file written while the removed collector vote
+/// path existed and that depends on it.
+fn removed_collector(what: &str) -> String {
+    format!("{what} needs the removed `collector` comm mode; all-to-all is the only vote path")
+}
+
+fn parse_behavior(s: &str) -> Result<ByzBehavior, String> {
+    Ok(match s {
         "silent" => ByzBehavior::Silent,
         "equivocate-preprepares" => ByzBehavior::EquivocatePreprepares,
         "fabricate-bus" => ByzBehavior::FabricateBus,
         "equivocate-batch" => ByzBehavior::EquivocateBatch,
         "forge-mac" => ByzBehavior::ForgeMac,
-        "forge-cert" => ByzBehavior::ForgeCert,
-        "collector-silent" => ByzBehavior::CollectorSilent,
-        _ => return None,
+        "forge-cert" | "collector-silent" => {
+            return Err(removed_collector(&format!("behavior `{s}`")))
+        }
+        _ => return Err(format!("unknown behavior `{s}`")),
     })
 }
 
@@ -60,21 +65,6 @@ fn parse_auth_mode(s: &str) -> Option<AuthMode> {
     Some(match s {
         "sig" => AuthMode::Sig,
         "mac-with-sig-fallback" => AuthMode::MacWithSigFallback,
-        _ => return None,
-    })
-}
-
-fn comm_mode_str(mode: CommMode) -> &'static str {
-    match mode {
-        CommMode::AllToAll => "all-to-all",
-        CommMode::Collector => "collector",
-    }
-}
-
-fn parse_comm_mode(s: &str) -> Option<CommMode> {
-    Some(match s {
-        "all-to-all" => CommMode::AllToAll,
-        "collector" => CommMode::Collector,
         _ => return None,
     })
 }
@@ -95,11 +85,6 @@ pub fn write_repro(plan: &ChaosPlan, kind: ViolationKind) -> String {
         out,
         "        auth_mode: \"{}\",",
         auth_mode_str(plan.auth_mode)
-    );
-    let _ = writeln!(
-        out,
-        "        comm_mode: \"{}\",",
-        comm_mode_str(plan.comm_mode)
     );
     let _ = writeln!(out, "        mutation: {},", plan.mutation);
     let _ = writeln!(out, "        ops: [");
@@ -475,8 +460,7 @@ fn plan_from_value(value: &Value) -> Result<ChaosPlan, String> {
             let behavior = b.field("behavior")?.as_str("behavior")?;
             Ok(ByzPlan {
                 node: b.field("node")?.as_u64("byz.node")? as usize,
-                behavior: parse_behavior(behavior)
-                    .ok_or_else(|| format!("unknown behavior `{behavior}`"))?,
+                behavior: parse_behavior(behavior)?,
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
@@ -502,15 +486,15 @@ fn plan_from_value(value: &Value) -> Result<ChaosPlan, String> {
         }
         Err(_) => AuthMode::Sig,
     };
-    // Absent in pre-collector repro files, which all ran the all-to-all
-    // exchange — same format version, optional field.
-    let comm_mode = match value.field("comm_mode") {
-        Ok(v) => {
-            let s = v.as_str("comm_mode")?;
-            parse_comm_mode(s).ok_or_else(|| format!("unknown comm mode `{s}`"))?
+    // Files written while the collector vote path existed name the comm
+    // mode; only the all-to-all exchange they share with today replays.
+    if let Ok(v) = value.field("comm_mode") {
+        match v.as_str("comm_mode")? {
+            "all-to-all" => {}
+            "collector" => return Err(removed_collector("comm mode `collector`")),
+            s => return Err(format!("unknown comm mode `{s}`")),
         }
-        Err(_) => CommMode::AllToAll,
-    };
+    }
     Ok(ChaosPlan {
         seed: value.field("seed")?.as_u64("seed")?,
         n_nodes: value.field("n_nodes")?.as_u64("n_nodes")? as usize,
@@ -537,7 +521,6 @@ fn plan_from_value(value: &Value) -> Result<ChaosPlan, String> {
                 .as_f64("duplicate_probability")?,
         },
         auth_mode,
-        comm_mode,
         mutation: value.field("mutation")?.as_bool("mutation")?,
     })
 }
@@ -602,5 +585,55 @@ mod tests {
         assert!(parse_repro(&text).is_err());
         assert!(parse_repro("not a repro at all").is_err());
         assert!(parse_repro("ChaosRepro(version: 1,)").is_err());
+    }
+
+    /// A repro file as written while the collector vote path existed:
+    /// the plan's lines plus a `comm_mode` field after `auth_mode`.
+    fn with_comm_mode(plan: &ChaosPlan, comm_mode: &str) -> String {
+        let text = write_repro(plan, ViolationKind::BlockFork);
+        let auth_line = text
+            .lines()
+            .find(|line| line.trim_start().starts_with("auth_mode:"))
+            .expect("repro files carry the auth mode")
+            .to_string();
+        text.replace(
+            &auth_line,
+            &format!("{auth_line}\n        comm_mode: \"{comm_mode}\","),
+        )
+    }
+
+    #[test]
+    fn repro_files_no_longer_carry_a_comm_mode() {
+        let text = write_repro(&ChaosPlan::generate(1), ViolationKind::BlockFork);
+        assert!(!text.contains("comm_mode"), "{text}");
+    }
+
+    #[test]
+    fn all_to_all_repro_files_still_parse() {
+        let plan = ChaosPlan::generate(1);
+        let (parsed, _) =
+            parse_repro(&with_comm_mode(&plan, "all-to-all")).expect("all-to-all replays");
+        assert_eq!(parsed, plan);
+    }
+
+    #[test]
+    fn collector_repro_files_are_rejected_by_name() {
+        let err = parse_repro(&with_comm_mode(&ChaosPlan::generate(1), "collector"))
+            .expect_err("collector mode is gone");
+        assert!(err.contains("removed `collector` comm mode"), "{err}");
+        assert!(err.contains("comm mode `collector`"), "{err}");
+
+        let mut plan = ChaosPlan::generate(1);
+        plan.byzantine = vec![ByzPlan {
+            node: 1,
+            behavior: ByzBehavior::Silent,
+        }];
+        let text = write_repro(&plan, ViolationKind::BlockFork);
+        for behavior in ["forge-cert", "collector-silent"] {
+            let old = text.replace("\"silent\"", &format!("\"{behavior}\""));
+            let err = parse_repro(&old).expect_err("collector behaviours are gone");
+            assert!(err.contains(&format!("behavior `{behavior}`")), "{err}");
+            assert!(err.contains("removed `collector` comm mode"), "{err}");
+        }
     }
 }

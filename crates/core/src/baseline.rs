@@ -4,9 +4,7 @@ use zugchain_blockchain::{BlockBuilder, ChainStore, LoggedRequest};
 use zugchain_crypto::{Digest, KeyPair, Keystore};
 use zugchain_machine::Effect;
 use zugchain_mvb::{Nsdb, Telegram};
-use zugchain_pbft::{
-    CheckpointProof, NodeId, ProposedRequest, Replica, ReplicaEvent, ReplicaTimer,
-};
+use zugchain_pbft::{CheckpointProof, NodeId, ProposedRequest, Replica, ReplicaEvent};
 use zugchain_signals::CycleConsolidator;
 use zugchain_wire::{Encode, Writer};
 
@@ -210,69 +208,12 @@ impl BaselineNode {
                     to,
                     message: NodeMessage::Consensus(message),
                 }),
-                Effect::SetTimer {
-                    id: ReplicaTimer::ViewChange(view),
+                Effect::SetTimer { id, duration_ms } => self.effects.push(Effect::SetTimer {
+                    id: id.into(),
                     duration_ms,
-                } => {
-                    self.effects.push(Effect::SetTimer {
-                        id: TimerId::ViewChange(view),
-                        duration_ms,
-                    });
-                }
-                Effect::CancelTimer {
-                    id: ReplicaTimer::ViewChange(view),
-                } => {
-                    self.effects.push(Effect::CancelTimer {
-                        id: TimerId::ViewChange(view),
-                    });
-                }
-                Effect::SetTimer {
-                    id: ReplicaTimer::BatchFlush,
-                    duration_ms,
-                } => {
-                    self.effects.push(Effect::SetTimer {
-                        id: TimerId::BatchFlush,
-                        duration_ms,
-                    });
-                }
-                Effect::CancelTimer {
-                    id: ReplicaTimer::BatchFlush,
-                } => {
-                    self.effects.push(Effect::CancelTimer {
-                        id: TimerId::BatchFlush,
-                    });
-                }
-                Effect::SetTimer {
-                    id: ReplicaTimer::CollectorPrepare(sn),
-                    duration_ms,
-                } => {
-                    self.effects.push(Effect::SetTimer {
-                        id: TimerId::CollectorPrepare(sn),
-                        duration_ms,
-                    });
-                }
-                Effect::CancelTimer {
-                    id: ReplicaTimer::CollectorPrepare(sn),
-                } => {
-                    self.effects.push(Effect::CancelTimer {
-                        id: TimerId::CollectorPrepare(sn),
-                    });
-                }
-                Effect::SetTimer {
-                    id: ReplicaTimer::CollectorCommit(sn),
-                    duration_ms,
-                } => {
-                    self.effects.push(Effect::SetTimer {
-                        id: TimerId::CollectorCommit(sn),
-                        duration_ms,
-                    });
-                }
-                Effect::CancelTimer {
-                    id: ReplicaTimer::CollectorCommit(sn),
-                } => {
-                    self.effects.push(Effect::CancelTimer {
-                        id: TimerId::CollectorCommit(sn),
-                    });
+                }),
+                Effect::CancelTimer { id } => {
+                    self.effects.push(Effect::CancelTimer { id: id.into() });
                 }
                 Effect::Output(ReplicaEvent::Decide { sn, request }) => {
                     self.on_decide(sn, request);
@@ -356,32 +297,17 @@ impl TrainNode for BaselineNode {
     }
 
     fn on_timer(&mut self, timer: TimerId) {
-        match timer {
-            TimerId::Hard(digest) => {
-                if self.open.contains_key(&digest) {
-                    self.stats.hard_timeouts += 1;
-                    let primary = self.replica.primary();
-                    self.replica.suspect(primary);
-                    self.pump_replica();
-                }
-            }
-            TimerId::Soft(_) => {
-                // The baseline has no soft timers.
-            }
-            TimerId::ViewChange(view) => {
-                self.replica.on_timer(ReplicaTimer::ViewChange(view));
-                self.pump_replica();
-            }
-            TimerId::BatchFlush => {
-                self.replica.on_timer(ReplicaTimer::BatchFlush);
-                self.pump_replica();
-            }
-            TimerId::CollectorPrepare(sn) => {
-                self.replica.on_timer(ReplicaTimer::CollectorPrepare(sn));
-                self.pump_replica();
-            }
-            TimerId::CollectorCommit(sn) => {
-                self.replica.on_timer(ReplicaTimer::CollectorCommit(sn));
+        if let Some(timer) = timer.replica_timer() {
+            self.replica.on_timer(timer);
+            self.pump_replica();
+            return;
+        }
+        // The baseline has no soft timers.
+        if let TimerId::Hard(digest) = timer {
+            if self.open.contains_key(&digest) {
+                self.stats.hard_timeouts += 1;
+                let primary = self.replica.primary();
+                self.replica.suspect(primary);
                 self.pump_replica();
             }
         }

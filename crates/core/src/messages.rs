@@ -1,5 +1,5 @@
 use zugchain_crypto::{Digest, KeyPair, Keystore, Signature};
-use zugchain_pbft::{ProposedRequest, SignedMessage};
+use zugchain_pbft::{ProposedRequest, ReplicaTimer, SignedMessage};
 use zugchain_wire::{Decode, Encode, Reader, WireError, Writer};
 
 /// A bus request signed by the node that received it: `r ← sign(req, id)`
@@ -201,12 +201,6 @@ pub enum TimerId {
     ViewChange(u64),
     /// PBFT partial-batch flush timer (primary only).
     BatchFlush,
-    /// PBFT collector-mode fallback timer for the prepare phase of the
-    /// given slot.
-    CollectorPrepare(u64),
-    /// PBFT collector-mode fallback timer for the commit phase of the
-    /// given slot.
-    CollectorCommit(u64),
 }
 
 impl TimerId {
@@ -214,10 +208,27 @@ impl TimerId {
     pub fn digest(&self) -> Option<Digest> {
         match self {
             TimerId::Soft(d) | TimerId::Hard(d) => Some(*d),
-            TimerId::ViewChange(_)
-            | TimerId::BatchFlush
-            | TimerId::CollectorPrepare(_)
-            | TimerId::CollectorCommit(_) => None,
+            TimerId::ViewChange(_) | TimerId::BatchFlush => None,
+        }
+    }
+
+    /// The PBFT replica timer this id names, or `None` for the layer's
+    /// own request timers — the inverse of `TimerId::from(ReplicaTimer)`.
+    pub fn replica_timer(self) -> Option<ReplicaTimer> {
+        match self {
+            TimerId::Soft(_) | TimerId::Hard(_) => None,
+            TimerId::ViewChange(view) => Some(ReplicaTimer::ViewChange(view)),
+            TimerId::BatchFlush => Some(ReplicaTimer::BatchFlush),
+        }
+    }
+}
+
+/// Relabels a timer the PBFT replica arms into the node's vocabulary.
+impl From<ReplicaTimer> for TimerId {
+    fn from(timer: ReplicaTimer) -> Self {
+        match timer {
+            ReplicaTimer::ViewChange(view) => TimerId::ViewChange(view),
+            ReplicaTimer::BatchFlush => TimerId::BatchFlush,
         }
     }
 }
@@ -269,7 +280,15 @@ mod tests {
         assert_eq!(TimerId::Hard(digest).digest(), Some(digest));
         assert_eq!(TimerId::ViewChange(3).digest(), None);
         assert_eq!(TimerId::BatchFlush.digest(), None);
-        assert_eq!(TimerId::CollectorPrepare(7).digest(), None);
-        assert_eq!(TimerId::CollectorCommit(7).digest(), None);
+    }
+
+    #[test]
+    fn replica_timers_round_trip_and_request_timers_stay_local() {
+        for timer in [ReplicaTimer::ViewChange(3), ReplicaTimer::BatchFlush] {
+            assert_eq!(TimerId::from(timer).replica_timer(), Some(timer));
+        }
+        let digest = Digest::of(b"r");
+        assert_eq!(TimerId::Soft(digest).replica_timer(), None);
+        assert_eq!(TimerId::Hard(digest).replica_timer(), None);
     }
 }

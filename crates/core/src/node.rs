@@ -4,9 +4,7 @@ use zugchain_blockchain::{Block, BlockBuilder, ChainStore, LoggedRequest};
 use zugchain_crypto::{Digest, KeyPair, Keystore};
 use zugchain_machine::{Effect, Machine};
 use zugchain_mvb::{Nsdb, Telegram};
-use zugchain_pbft::{
-    CheckpointProof, NodeId, ProposedRequest, Replica, ReplicaEvent, ReplicaTimer,
-};
+use zugchain_pbft::{CheckpointProof, NodeId, ProposedRequest, Replica, ReplicaEvent};
 use zugchain_signals::CycleConsolidator;
 use zugchain_telemetry::{Span, Stage};
 use zugchain_wire::{derive_span_id, derive_trace_id, TrainId};
@@ -819,8 +817,8 @@ impl ZugchainNode {
     }
 
     /// Translates buffered PBFT effects into node effects. The replica
-    /// owns its view-change timer; this layer only relabels the timer id
-    /// into the node's [`TimerId`] vocabulary.
+    /// owns its timers; this layer only relabels their ids into the
+    /// node's [`TimerId`] vocabulary.
     fn pump_replica(&mut self) {
         let effects = self.replica.drain_effects();
         for effect in effects {
@@ -832,69 +830,12 @@ impl ZugchainNode {
                     to,
                     message: NodeMessage::Consensus(message),
                 }),
-                Effect::SetTimer {
-                    id: ReplicaTimer::ViewChange(view),
+                Effect::SetTimer { id, duration_ms } => self.effects.push(Effect::SetTimer {
+                    id: id.into(),
                     duration_ms,
-                } => {
-                    self.effects.push(Effect::SetTimer {
-                        id: TimerId::ViewChange(view),
-                        duration_ms,
-                    });
-                }
-                Effect::CancelTimer {
-                    id: ReplicaTimer::ViewChange(view),
-                } => {
-                    self.effects.push(Effect::CancelTimer {
-                        id: TimerId::ViewChange(view),
-                    });
-                }
-                Effect::SetTimer {
-                    id: ReplicaTimer::BatchFlush,
-                    duration_ms,
-                } => {
-                    self.effects.push(Effect::SetTimer {
-                        id: TimerId::BatchFlush,
-                        duration_ms,
-                    });
-                }
-                Effect::CancelTimer {
-                    id: ReplicaTimer::BatchFlush,
-                } => {
-                    self.effects.push(Effect::CancelTimer {
-                        id: TimerId::BatchFlush,
-                    });
-                }
-                Effect::SetTimer {
-                    id: ReplicaTimer::CollectorPrepare(sn),
-                    duration_ms,
-                } => {
-                    self.effects.push(Effect::SetTimer {
-                        id: TimerId::CollectorPrepare(sn),
-                        duration_ms,
-                    });
-                }
-                Effect::CancelTimer {
-                    id: ReplicaTimer::CollectorPrepare(sn),
-                } => {
-                    self.effects.push(Effect::CancelTimer {
-                        id: TimerId::CollectorPrepare(sn),
-                    });
-                }
-                Effect::SetTimer {
-                    id: ReplicaTimer::CollectorCommit(sn),
-                    duration_ms,
-                } => {
-                    self.effects.push(Effect::SetTimer {
-                        id: TimerId::CollectorCommit(sn),
-                        duration_ms,
-                    });
-                }
-                Effect::CancelTimer {
-                    id: ReplicaTimer::CollectorCommit(sn),
-                } => {
-                    self.effects.push(Effect::CancelTimer {
-                        id: TimerId::CollectorCommit(sn),
-                    });
+                }),
+                Effect::CancelTimer { id } => {
+                    self.effects.push(Effect::CancelTimer { id: id.into() });
                 }
                 Effect::Output(ReplicaEvent::Decide { sn, request }) => {
                     self.on_decide(sn, request);
@@ -970,6 +911,11 @@ impl TrainNode for ZugchainNode {
     }
 
     fn on_timer(&mut self, timer: TimerId) {
+        if let Some(timer) = timer.replica_timer() {
+            self.replica.on_timer(timer);
+            self.pump_replica();
+            return;
+        }
         match timer {
             TimerId::Soft(digest) => {
                 // ln. 21–24: broadcast the request and arm the hard
@@ -1020,22 +966,8 @@ impl TrainNode for ZugchainNode {
                     self.pump_replica();
                 }
             }
-            TimerId::ViewChange(view) => {
-                self.replica.on_timer(ReplicaTimer::ViewChange(view));
-                self.pump_replica();
-            }
-            TimerId::BatchFlush => {
-                self.replica.on_timer(ReplicaTimer::BatchFlush);
-                self.pump_replica();
-            }
-            TimerId::CollectorPrepare(sn) => {
-                self.replica.on_timer(ReplicaTimer::CollectorPrepare(sn));
-                self.pump_replica();
-            }
-            TimerId::CollectorCommit(sn) => {
-                self.replica.on_timer(ReplicaTimer::CollectorCommit(sn));
-                self.pump_replica();
-            }
+            // Replica timers were handed to the replica above.
+            TimerId::ViewChange(_) | TimerId::BatchFlush => {}
         }
     }
 

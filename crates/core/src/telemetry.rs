@@ -12,7 +12,7 @@ use crate::messages::TimerId;
 use crate::node::{NodeEvent, NodeInput, TrainMachine, TrainNode};
 
 /// A timer's static kind and numeric argument as recorded in the ring:
-/// the target view or slot, or for a request timer the big-endian first
+/// the target view, or for a request timer the big-endian first
 /// 8 bytes of the payload digest.
 fn timer_parts(id: &TimerId) -> (&'static str, u64) {
     let prefix = |digest: &zugchain_crypto::Digest| {
@@ -23,8 +23,6 @@ fn timer_parts(id: &TimerId) -> (&'static str, u64) {
         TimerId::Hard(digest) => ("hard", prefix(digest)),
         TimerId::ViewChange(view) => ("view-change", *view),
         TimerId::BatchFlush => ("batch-flush", 0),
-        TimerId::CollectorPrepare(sn) => ("collector-prepare", *sn),
-        TimerId::CollectorCommit(sn) => ("collector-commit", *sn),
     }
 }
 

@@ -1,11 +1,11 @@
 //! Property tests for the wire codec over every message the node layer
-//! exchanges: each [`NodeMessage`] variant (covering all eight PBFT
-//! [`Message`] kinds — including the collector-mode certificate
-//! variants — and all three [`LayerMessage`] kinds) must survive
+//! exchanges: each [`NodeMessage`] variant (covering all six PBFT
+//! [`Message`] kinds and all three [`LayerMessage`] kinds) must survive
 //! an encode/decode roundtrip unchanged, every strict prefix of an
 //! encoding must be rejected (a torn read never yields a phantom
 //! message), and trailing garbage after a valid encoding must be
 //! rejected (framing bugs cannot smuggle extra bytes past the decoder).
+//! The retired vote-certificate tags 6 and 7 must not decode at all.
 //!
 //! The MAC-authenticated envelope ([`Auth::Mac`]) gets the same codec
 //! treatment plus its authentication properties: at arbitrary key
@@ -18,9 +18,9 @@ use zugchain::{LayerMessage, NodeMessage, SignedRequest};
 use zugchain_crypto::{Digest, KeyPair, Keystore, SessionKeys};
 use zugchain_pbft::{
     Auth, AuthVerdict, Checkpoint, CheckpointProof, Message, NewView, NodeId, PrePrepare, Prepare,
-    PreparedCert, ProposedBatch, ProposedRequest, SignedMessage, ViewChange, VoteCert,
+    PreparedCert, ProposedBatch, ProposedRequest, SignedMessage, ViewChange,
 };
-use zugchain_wire::{from_bytes, to_bytes, Decode, Encode};
+use zugchain_wire::{from_bytes, to_bytes, Decode, Encode, WireError, Writer};
 
 /// Roundtrip + truncation + trailing-garbage checks for one value.
 fn check_codec<T>(value: &T, garbage: &[u8]) -> Result<(), TestCaseError>
@@ -119,25 +119,6 @@ fn pbft_messages(
         ],
         preprepares: vec![preprepare.clone()],
     };
-    // Collector-mode certificates: a populated signature list (one
-    // entry per replica, so the varint list codec is exercised) and the
-    // degenerate empty list.
-    let full_cert = VoteCert {
-        view,
-        sn,
-        digest,
-        signatures: keys
-            .iter()
-            .enumerate()
-            .map(|(id, key)| (NodeId(id as u64), key.sign(payload)))
-            .collect(),
-    };
-    let empty_cert = VoteCert {
-        view,
-        sn,
-        digest,
-        signatures: Vec::new(),
-    };
     vec![
         Message::PrePrepare(preprepare),
         Message::Prepare(Prepare { view, sn, digest }),
@@ -146,10 +127,6 @@ fn pbft_messages(
         Message::ViewChange(full_vc),
         Message::ViewChange(empty_vc),
         Message::NewView(new_view),
-        Message::PrepareCert(full_cert.clone()),
-        Message::PrepareCert(empty_cert.clone()),
-        Message::CommitCert(full_cert),
-        Message::CommitCert(empty_cert),
     ]
 }
 
@@ -195,6 +172,20 @@ proptest! {
         let (keys, _) = Keystore::generate(4, 0xC0DEC);
         for message in pbft_messages(view, sn, &payload, time_ms, &keys) {
             check_codec(&message, &garbage)?;
+        }
+        // Tags 6 and 7 carried the removed vote certificates: a
+        // well-formed former body behind either tag is an unknown kind.
+        for tag in [6u8, 7] {
+            let mut w = Writer::new();
+            w.write_u8(tag);
+            w.write_u64(view);
+            w.write_u64(sn);
+            Digest::of(&payload).encode(&mut w);
+            w.write_varint(0);
+            prop_assert_eq!(
+                from_bytes::<Message>(&w.into_bytes()),
+                Err(WireError::InvalidDiscriminant { type_name: "Message", value: u64::from(tag) })
+            );
         }
     }
 

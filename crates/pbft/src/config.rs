@@ -13,21 +13,6 @@ pub enum AuthMode {
     MacWithSigFallback,
 }
 
-/// How prepare/commit votes travel between replicas.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CommMode {
-    /// Every replica broadcasts its votes to every other replica — the
-    /// original PBFT exchange, O(n²) messages per slot.
-    #[default]
-    AllToAll,
-    /// SBFT-style linear fast path: votes go only to a deterministic
-    /// per-slot collector, which broadcasts one 2f+1 certificate. A
-    /// per-phase timer falls back to the all-to-all exchange when the
-    /// collector stays silent, so neither safety nor liveness ever
-    /// depends on the collector.
-    Collector,
-}
-
 /// Static configuration of a PBFT group.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Config {
@@ -60,16 +45,6 @@ pub struct Config {
     /// Receivers accept either form regardless of their own mode, so
     /// mixed-mode groups interoperate.
     pub auth_mode: AuthMode,
-    /// How this replica routes its prepare/commit votes. Receivers
-    /// accept both direct votes and certificates regardless of their own
-    /// mode, so mixed-mode groups interoperate.
-    pub comm_mode: CommMode,
-    /// How long a replica in [`CommMode::Collector`] waits for the
-    /// collector's certificate before re-broadcasting its own vote
-    /// all-to-all, in milliseconds. Must stay well below
-    /// `view_change_timeout_ms` so a silent collector degrades to the
-    /// quadratic exchange instead of a view change.
-    pub collector_timeout_ms: u64,
 }
 
 /// Error constructing a [`Config`] with too few replicas.
@@ -111,8 +86,6 @@ impl Config {
             batch_delay_ms: 0,
             max_buffered_messages: 8192,
             auth_mode: AuthMode::Sig,
-            comm_mode: CommMode::AllToAll,
-            collector_timeout_ms: 150,
         })
     }
 
@@ -158,20 +131,6 @@ impl Config {
         self
     }
 
-    /// Overrides the vote-routing mode.
-    #[must_use]
-    pub fn with_comm_mode(mut self, comm_mode: CommMode) -> Self {
-        self.comm_mode = comm_mode;
-        self
-    }
-
-    /// Overrides the collector fallback timeout.
-    #[must_use]
-    pub fn with_collector_timeout(mut self, timeout_ms: u64) -> Self {
-        self.collector_timeout_ms = timeout_ms;
-        self
-    }
-
     /// The quorum size for prepares, commits and checkpoints: 2f+1.
     pub fn quorum(&self) -> usize {
         2 * self.f + 1
@@ -193,16 +152,6 @@ impl Config {
     /// The primary of `view`: round-robin over the group.
     pub fn primary_of(&self, view: u64) -> crate::NodeId {
         crate::NodeId(view % self.n as u64)
-    }
-
-    /// The collector for slot `sn` in `view` under
-    /// [`CommMode::Collector`]: rotates per slot so no single replica
-    /// carries the whole aggregation load, and shifts with the view so a
-    /// crashed collector stops recurring for the same slot after a view
-    /// change. May coincide with the primary — that is fine, the
-    /// collector role only aggregates votes it would receive anyway.
-    pub fn collector_of(&self, view: u64, sn: u64) -> crate::NodeId {
-        crate::NodeId((view + sn) % self.n as u64)
     }
 }
 
@@ -267,23 +216,5 @@ mod tests {
         assert_eq!(config.primary_of(0), crate::NodeId(0));
         assert_eq!(config.primary_of(5), crate::NodeId(1));
         assert_eq!(config.primary_of(7), crate::NodeId(3));
-    }
-
-    #[test]
-    fn collector_rotates_per_slot_and_view() {
-        let config = Config::new(4).unwrap();
-        assert_eq!(config.comm_mode, CommMode::AllToAll, "quadratic default");
-        assert_eq!(config.collector_of(0, 1), crate::NodeId(1));
-        assert_eq!(config.collector_of(0, 2), crate::NodeId(2));
-        assert_eq!(config.collector_of(0, 4), crate::NodeId(0));
-        // The view shifts the rotation, so a crashed collector is not
-        // re-elected for the same slot after a view change.
-        assert_eq!(config.collector_of(1, 1), crate::NodeId(2));
-        let tuned = Config::new(4)
-            .unwrap()
-            .with_comm_mode(CommMode::Collector)
-            .with_collector_timeout(40);
-        assert_eq!(tuned.comm_mode, CommMode::Collector);
-        assert_eq!(tuned.collector_timeout_ms, 40);
     }
 }

@@ -287,65 +287,6 @@ impl Decode for PreparedCert {
     }
 }
 
-/// A collector's aggregation of one voting phase for `(view, sn, digest)`
-/// under [`CommMode::Collector`](crate::CommMode::Collector): the
-/// signatures of the replicas whose vote it received, carried in a
-/// [`Message::PrepareCert`] or [`Message::CommitCert`] broadcast.
-///
-/// The inner signatures are the authority — each is over the canonical
-/// encoding of the matching [`Prepare`] or [`Commit`] — so the envelope
-/// sender needs no trust: a receiver verifies the signatures and absorbs
-/// them as if the individual votes had arrived directly.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VoteCert {
-    /// View the aggregated votes belong to.
-    pub view: u64,
-    /// Base sequence number the votes cover.
-    pub sn: u64,
-    /// Batch digest the votes agree on.
-    pub digest: Digest,
-    /// `(voter, signature)` pairs over the canonical vote encoding.
-    pub signatures: Vec<(NodeId, Signature)>,
-}
-
-impl Encode for VoteCert {
-    fn encode(&self, w: &mut Writer) {
-        w.write_u64(self.view);
-        w.write_u64(self.sn);
-        self.digest.encode(w);
-        w.write_varint(self.signatures.len() as u64);
-        for (signer, signature) in &self.signatures {
-            signer.encode(w);
-            signature.encode(w);
-        }
-    }
-}
-
-impl Decode for VoteCert {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let view = r.read_u64()?;
-        let sn = r.read_u64()?;
-        let digest = Digest::decode(r)?;
-        let count = r.read_varint()?;
-        if count > 1024 {
-            return Err(WireError::LengthLimitExceeded {
-                declared: count,
-                limit: 1024,
-            });
-        }
-        let mut signatures = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            signatures.push((NodeId::decode(r)?, Signature::decode(r)?));
-        }
-        Ok(VoteCert {
-            view,
-            sn,
-            digest,
-            signatures,
-        })
-    }
-}
-
 /// A replica's vote to move to `new_view`, reporting its stable checkpoint
 /// and prepared-but-undecided requests.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -427,10 +368,6 @@ pub enum Message {
     ViewChange(ViewChange),
     /// New primary's announcement.
     NewView(NewView),
-    /// Collector's aggregated prepare votes.
-    PrepareCert(VoteCert),
-    /// Collector's aggregated commit votes.
-    CommitCert(VoteCert),
 }
 
 impl Message {
@@ -440,8 +377,6 @@ impl Message {
     const TAG_CHECKPOINT: u8 = 3;
     const TAG_VIEWCHANGE: u8 = 4;
     const TAG_NEWVIEW: u8 = 5;
-    const TAG_PREPARECERT: u8 = 6;
-    const TAG_COMMITCERT: u8 = 7;
 
     /// Short name for logs and counters.
     pub fn kind(&self) -> &'static str {
@@ -452,8 +387,6 @@ impl Message {
             Message::Checkpoint(_) => "checkpoint",
             Message::ViewChange(_) => "viewchange",
             Message::NewView(_) => "newview",
-            Message::PrepareCert(_) => "prepare-cert",
-            Message::CommitCert(_) => "commit-cert",
         }
     }
 
@@ -510,14 +443,6 @@ impl Encode for Message {
                 w.write_u8(Self::TAG_NEWVIEW);
                 m.encode(w);
             }
-            Message::PrepareCert(m) => {
-                w.write_u8(Self::TAG_PREPARECERT);
-                m.encode(w);
-            }
-            Message::CommitCert(m) => {
-                w.write_u8(Self::TAG_COMMITCERT);
-                m.encode(w);
-            }
         }
     }
 }
@@ -531,8 +456,6 @@ impl Decode for Message {
             Self::TAG_CHECKPOINT => Ok(Message::Checkpoint(Checkpoint::decode(r)?)),
             Self::TAG_VIEWCHANGE => Ok(Message::ViewChange(ViewChange::decode(r)?)),
             Self::TAG_NEWVIEW => Ok(Message::NewView(NewView::decode(r)?)),
-            Self::TAG_PREPARECERT => Ok(Message::PrepareCert(VoteCert::decode(r)?)),
-            Self::TAG_COMMITCERT => Ok(Message::CommitCert(VoteCert::decode(r)?)),
             tag => Err(WireError::InvalidDiscriminant {
                 type_name: "Message",
                 value: u64::from(tag),
@@ -948,18 +871,6 @@ mod tests {
                     sn: 11,
                     batch: ProposedBatch::single(ProposedRequest::noop(NodeId(3))),
                 }],
-            }),
-            Message::PrepareCert(VoteCert {
-                view: 1,
-                sn: 2,
-                digest: batch().digest(),
-                signatures: vec![],
-            }),
-            Message::CommitCert(VoteCert {
-                view: 4,
-                sn: 9,
-                digest: Digest::of(b"batch"),
-                signatures: vec![],
             }),
         ];
         for message in messages {

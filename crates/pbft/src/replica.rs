@@ -5,9 +5,9 @@ use zugchain_machine::{Effect, Machine};
 use zugchain_telemetry::{Counter, Gauge, Histogram, Span, Stage, Telemetry};
 use zugchain_wire::{derive_span_id, derive_trace_id};
 
-use crate::messages::{Commit, VoteCert};
+use crate::messages::Commit;
 use crate::{
-    AuthMode, AuthVerdict, Checkpoint, CheckpointProof, CommMode, Config, Message, NewView, NodeId,
+    AuthMode, AuthVerdict, Checkpoint, CheckpointProof, Config, Message, NewView, NodeId,
     PrePrepare, Prepare, PreparedCert, ProposedBatch, ProposedRequest, SignedMessage, ViewChange,
 };
 
@@ -20,12 +20,6 @@ pub enum ReplicaTimer {
     /// A partially filled batch is waiting on the primary; on expiry the
     /// primary flushes it so light load never waits for a full batch.
     BatchFlush,
-    /// Collector mode: waiting for the prepare certificate of this slot;
-    /// on expiry the replica re-broadcasts its prepare all-to-all.
-    CollectorPrepare(u64),
-    /// Collector mode: waiting for the commit certificate of this slot;
-    /// on expiry the replica re-broadcasts its commit all-to-all.
-    CollectorCommit(u64),
 }
 
 /// An application up-call of the replica state machine (Table I ①).
@@ -128,20 +122,8 @@ pub struct ReplicaStats {
     /// (no usable tag for this replica).
     pub auth_sig_fallbacks: u64,
     /// Individual signature verifications performed (arrival checks plus
-    /// every item of each deferred `verify_batch` call) — the
-    /// crypto-work axis of the communication-mode evaluation.
+    /// every item of each deferred `verify_batch` call).
     pub signatures_verified: u64,
-    /// Collector mode: certificates this replica assembled and
-    /// broadcast as the slot's collector.
-    pub collector_certs_sent: u64,
-    /// Collector mode: certificates received and absorbed as votes.
-    pub collector_certs_absorbed: u64,
-    /// Collector mode: phases that fell back to the all-to-all exchange
-    /// because the collector's certificate did not arrive in time.
-    pub collector_fallbacks: u64,
-    /// Signatures inside received certificates that failed verification
-    /// (a forging collector cannot smuggle votes, only waste work).
-    pub cert_invalid_signatures: u64,
 }
 
 /// One prepare or checkpoint vote, with its deferred-verification state.
@@ -177,26 +159,12 @@ struct Slot {
     payload_digests: Vec<Digest>,
     /// Prepare votes: sender → vote over the batch digest.
     prepares: BTreeMap<NodeId, Vote>,
-    /// Commit votes: sender → vote over the batch digest. In all-to-all
-    /// mode commits never become evidence and carry no signature; in
-    /// collector mode they embed one so the collector can assemble a
-    /// transferable commit certificate.
-    commits: BTreeMap<NodeId, Vote>,
+    /// Commit votes: sender → batch digest. Commits never become
+    /// evidence, so only the digest is kept.
+    commits: BTreeMap<NodeId, Digest>,
     prepared: bool,
     committed: bool,
     decided: bool,
-    /// Collector mode: a [`ReplicaTimer::CollectorPrepare`] is armed for
-    /// this slot (cleared on prepare-phase completion or expiry).
-    collector_prepare_armed: bool,
-    /// Collector mode: a [`ReplicaTimer::CollectorCommit`] is armed for
-    /// this slot (cleared on commit-phase completion or expiry).
-    collector_commit_armed: bool,
-    /// Collector mode: this replica already re-broadcast its own prepare
-    /// all-to-all for this slot (fallback timer or echo) — at most once
-    /// per slot, so a fallback storm stays O(n²) like plain PBFT.
-    prepare_rebroadcast: bool,
-    /// Same for its own commit.
-    commit_rebroadcast: bool,
     /// Trace-clock readings of the three protocol transitions, used as
     /// span boundaries (0 when telemetry is disabled): preprepare
     /// accepted, prepare quorum reached, commit quorum reached.
@@ -216,24 +184,8 @@ impl Slot {
     fn matching_commits(&self, digest: &Digest) -> usize {
         self.commits
             .values()
-            .filter(|vote| vote.digest == *digest)
+            .filter(|voted| *voted == digest)
             .count()
-    }
-}
-
-/// The two voting phases a collector aggregates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CertPhase {
-    Prepare,
-    Commit,
-}
-
-impl CertPhase {
-    fn timer(self, sn: u64) -> ReplicaTimer {
-        match self {
-            CertPhase::Prepare => ReplicaTimer::CollectorPrepare(sn),
-            CertPhase::Commit => ReplicaTimer::CollectorCommit(sn),
-        }
     }
 }
 
@@ -263,9 +215,6 @@ struct ReplicaMetrics {
     preprepares: Counter,
     prepares: Counter,
     commits: Counter,
-    prepare_certs: Counter,
-    commit_certs: Counter,
-    collector_fallbacks: Counter,
     checkpoint_msgs: Counter,
     view_change_msgs: Counter,
     new_view_msgs: Counter,
@@ -292,9 +241,6 @@ impl ReplicaMetrics {
             preprepares: msg("preprepare"),
             prepares: msg("prepare"),
             commits: msg("commit"),
-            prepare_certs: msg("prepare-cert"),
-            commit_certs: msg("commit-cert"),
-            collector_fallbacks: telemetry.counter("zugchain_pbft_collector_fallbacks_total"),
             checkpoint_msgs: msg("checkpoint"),
             view_change_msgs: msg("viewchange"),
             new_view_msgs: msg("newview"),
@@ -322,8 +268,6 @@ impl ReplicaMetrics {
             Message::Checkpoint(_) => &self.checkpoint_msgs,
             Message::ViewChange(_) => &self.view_change_msgs,
             Message::NewView(_) => &self.new_view_msgs,
-            Message::PrepareCert(_) => &self.prepare_certs,
-            Message::CommitCert(_) => &self.commit_certs,
         }
     }
 }
@@ -598,22 +542,9 @@ impl Replica {
                 Message::Prepare(_) | Message::Checkpoint(_) => {
                     SignedMessage::sign_mac(self.id, message, &self.session, Some(&self.key))
                 }
-                // Preprepares never outlive their view: MAC-only, no
-                // signature computed at all. Commits are the same in
-                // all-to-all mode, but under the collector they must
-                // embed the signature the commit certificate carries.
-                Message::PrePrepare(_) => {
-                    SignedMessage::sign_mac(self.id, message, &self.session, None)
-                }
-                Message::Commit(_) => {
-                    let sig_key =
-                        (self.config.comm_mode == CommMode::Collector).then_some(&self.key);
-                    SignedMessage::sign_mac(self.id, message, &self.session, sig_key)
-                }
-                // Certificate envelopes carry their evidence *inside*
-                // (the aggregated vote signatures are the authority, the
-                // envelope only names a sender): MAC-only.
-                Message::PrepareCert(_) | Message::CommitCert(_) => {
+                // Preprepares and commits never outlive their view:
+                // MAC-only, no signature computed at all.
+                Message::PrePrepare(_) | Message::Commit(_) => {
                     SignedMessage::sign_mac(self.id, message, &self.session, None)
                 }
                 // View-change votes *are* the certificate a NewView
@@ -632,66 +563,6 @@ impl Replica {
             message: signed.clone(),
         });
         signed
-    }
-
-    fn send_to(&mut self, to: NodeId, message: Message) -> SignedMessage {
-        let signed = self.authenticate(message);
-        self.effects.push(Effect::Send {
-            to,
-            message: signed.clone(),
-        });
-        signed
-    }
-
-    /// Routes an own prepare vote per the communication mode: broadcast
-    /// in all-to-all, a single send to the slot's collector (plus a
-    /// fallback timer) under the collector. The collector itself sends
-    /// nothing — its vote is already in its own slot.
-    fn send_prepare_vote(&mut self, prepare: Prepare) -> SignedMessage {
-        let sn = prepare.sn;
-        match self.config.comm_mode {
-            CommMode::AllToAll => self.broadcast(Message::Prepare(prepare)),
-            CommMode::Collector => {
-                let collector = self.config.collector_of(self.view, sn);
-                if collector == self.id {
-                    return self.authenticate(Message::Prepare(prepare));
-                }
-                let signed = self.send_to(collector, Message::Prepare(prepare));
-                self.arm_collector_timer(sn, CertPhase::Prepare);
-                signed
-            }
-        }
-    }
-
-    /// Routes an own commit vote, as [`send_prepare_vote`](Self::send_prepare_vote).
-    fn send_commit_vote(&mut self, commit: Commit) -> SignedMessage {
-        let sn = commit.sn;
-        match self.config.comm_mode {
-            CommMode::AllToAll => self.broadcast(Message::Commit(commit)),
-            CommMode::Collector => {
-                let collector = self.config.collector_of(self.view, sn);
-                if collector == self.id {
-                    return self.authenticate(Message::Commit(commit));
-                }
-                let signed = self.send_to(collector, Message::Commit(commit));
-                self.arm_collector_timer(sn, CertPhase::Commit);
-                signed
-            }
-        }
-    }
-
-    /// Arms the per-phase collector fallback timer for `sn`, once.
-    fn arm_collector_timer(&mut self, sn: u64, phase: CertPhase) {
-        let armed = self.slots.get_mut(&sn).is_some_and(|slot| match phase {
-            CertPhase::Prepare => !std::mem::replace(&mut slot.collector_prepare_armed, true),
-            CertPhase::Commit => !std::mem::replace(&mut slot.collector_commit_armed, true),
-        });
-        if armed {
-            self.effects.push(Effect::SetTimer {
-                id: phase.timer(sn),
-                duration_ms: self.config.collector_timeout_ms,
-            });
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1133,55 +1004,6 @@ impl Replica {
             >= quorum
     }
 
-    /// Verifies the deferred signatures of the matching commit votes at
-    /// `sn` — the collector-mode analogue of
-    /// [`validate_prepare_quorum`](Self::validate_prepare_quorum), run by
-    /// the collector before assembling a commit certificate. Votes whose
-    /// signature is missing or invalid are dropped. Returns `true` if a
-    /// full 2f+1 quorum of verified matching votes remains.
-    fn validate_commit_quorum(&mut self, sn: u64, digest: &Digest) -> bool {
-        let pending: Vec<(NodeId, Option<Signature>)> = match self.slots.get(&sn) {
-            Some(slot) => slot
-                .commits
-                .iter()
-                .filter(|(_, vote)| vote.digest == *digest && !vote.verified)
-                .map(|(id, vote)| (*id, vote.signature))
-                .collect(),
-            None => return false,
-        };
-        let quorum = self.config.quorum();
-        let verified_matching = |slot: &Slot| {
-            slot.commits
-                .values()
-                .filter(|vote| vote.digest == *digest && vote.verified && vote.signature.is_some())
-                .count()
-        };
-        if pending.is_empty() {
-            return self
-                .slots
-                .get(&sn)
-                .is_some_and(|slot| verified_matching(slot) >= quorum);
-        }
-        let bytes = zugchain_wire::to_bytes(&Message::Commit(Commit {
-            view: self.view,
-            sn,
-            digest: *digest,
-        }));
-        let (valid, invalid) = self.check_signatures(&pending, &bytes);
-        let Some(slot) = self.slots.get_mut(&sn) else {
-            return false;
-        };
-        for id in valid {
-            if let Some(vote) = slot.commits.get_mut(&id) {
-                vote.verified = true;
-            }
-        }
-        for id in invalid {
-            slot.commits.remove(&id);
-        }
-        verified_matching(slot) >= quorum
-    }
-
     fn stabilize(&mut self, proof: CheckpointProof) {
         let sn = proof.checkpoint.sn;
         if sn <= self.low_watermark {
@@ -1270,8 +1092,6 @@ impl Replica {
             Message::PrePrepare(m) => Some(m.view),
             Message::Prepare(m) => Some(m.view),
             Message::Commit(m) => Some(m.view),
-            Message::PrepareCert(m) => Some(m.view),
-            Message::CommitCert(m) => Some(m.view),
             _ => None,
         }
     }
@@ -1334,9 +1154,7 @@ impl Replica {
         match message {
             Message::PrePrepare(preprepare) => self.on_preprepare(from, preprepare),
             Message::Prepare(prepare) => self.on_prepare(from, prepare, signature, sig_checked),
-            Message::Commit(commit) => self.on_commit(from, commit, signature, sig_checked),
-            Message::PrepareCert(cert) => self.on_cert(cert, CertPhase::Prepare),
-            Message::CommitCert(cert) => self.on_cert(cert, CertPhase::Commit),
+            Message::Commit(commit) => self.on_commit(from, commit),
             Message::Checkpoint(checkpoint) => {
                 self.store_checkpoint_vote(from, checkpoint, signature, sig_checked);
             }
@@ -1440,14 +1258,13 @@ impl Replica {
                     payload_digest,
                 }));
         }
-        // Backups confirm with a prepare over the batch digest, routed
-        // per the communication mode.
+        // Backups confirm with a prepare over the batch digest.
         let prepare = Prepare {
             view: self.view,
             sn,
             digest,
         };
-        let signed = self.send_prepare_vote(prepare);
+        let signed = self.broadcast(Message::Prepare(prepare));
         let own_signature = signed
             .signature()
             .expect("own prepare messages always embed a signature");
@@ -1523,171 +1340,18 @@ impl Replica {
             signature,
             verified,
         });
-        // A direct prepare only reaches a non-collector when a peer fell
-        // back to all-to-all; echo our own vote so the fallback converges
-        // even where the phase already completed (see
-        // `fallback_to_all_to_all`).
-        self.fallback_to_all_to_all(prepare.sn, CertPhase::Prepare);
         self.maybe_advance(prepare.sn);
     }
 
-    fn on_commit(
-        &mut self,
-        from: NodeId,
-        commit: Commit,
-        signature: Option<Signature>,
-        verified: bool,
-    ) {
+    fn on_commit(&mut self, from: NodeId, commit: Commit) {
         if self.in_view_change() || commit.view != self.view || !self.ordering_in_window(commit.sn)
         {
             self.stats.ignored += 1;
             return;
         }
         let slot = self.slots.entry(commit.sn).or_default();
-        slot.commits.entry(from).or_insert(Vote {
-            digest: commit.digest,
-            signature,
-            verified,
-        });
-        // Same echo rule as `on_prepare`: direct commits imply fallback.
-        self.fallback_to_all_to_all(commit.sn, CertPhase::Commit);
+        slot.commits.entry(from).or_insert(commit.digest);
         self.maybe_advance(commit.sn);
-    }
-
-    /// Collector only: assembles the verified matching votes of `phase`
-    /// into one certificate and broadcasts it. Prepare votes were
-    /// already validated by `validate_prepare_quorum` on the way to
-    /// `prepared`; commit votes validate here (their signature check is
-    /// deferred on the MAC path). If validation sinks the quorum the
-    /// certificate is skipped — the per-phase fallback timers keep the
-    /// group live without it.
-    fn broadcast_cert(&mut self, sn: u64, digest: Digest, phase: CertPhase) {
-        if phase == CertPhase::Commit && !self.validate_commit_quorum(sn, &digest) {
-            return;
-        }
-        let quorum = match phase {
-            CertPhase::Prepare => self.config.prepare_quorum(),
-            CertPhase::Commit => self.config.quorum(),
-        };
-        let Some(slot) = self.slots.get(&sn) else {
-            return;
-        };
-        let votes = match phase {
-            CertPhase::Prepare => &slot.prepares,
-            CertPhase::Commit => &slot.commits,
-        };
-        let signatures: Vec<(NodeId, Signature)> = votes
-            .iter()
-            .filter(|(_, vote)| vote.digest == digest && vote.verified)
-            .filter_map(|(id, vote)| vote.signature.map(|sig| (*id, sig)))
-            .collect();
-        if signatures.len() < quorum {
-            return;
-        }
-        let cert = VoteCert {
-            view: self.view,
-            sn,
-            digest,
-            signatures,
-        };
-        self.stats.collector_certs_sent += 1;
-        match phase {
-            CertPhase::Prepare => self.broadcast(Message::PrepareCert(cert)),
-            CertPhase::Commit => self.broadcast(Message::CommitCert(cert)),
-        };
-    }
-
-    /// Absorbs a received certificate: verifies the aggregated
-    /// signatures this replica has not already verified (one
-    /// `verify_batch` call) and records the valid ones as if the votes
-    /// had arrived individually, then advances the slot. The envelope
-    /// sender is irrelevant — the signatures are the authority — so a
-    /// forged certificate can only waste verification work, never
-    /// smuggle a vote.
-    fn on_cert(&mut self, cert: VoteCert, phase: CertPhase) {
-        if self.in_view_change() || cert.view != self.view || !self.ordering_in_window(cert.sn) {
-            self.stats.ignored += 1;
-            return;
-        }
-        let sn = cert.sn;
-        let primary = self.primary();
-        let mut seen = std::collections::BTreeSet::new();
-        let mut pending: Vec<(NodeId, Signature)> = Vec::new();
-        for (id, signature) in &cert.signatures {
-            // A prepare from the primary never counts (its preprepare
-            // stands in), and neither do our own or out-of-range votes.
-            if *id == self.id
-                || id.0 >= self.config.n as u64
-                || (phase == CertPhase::Prepare && *id == primary)
-                || !seen.insert(id.0)
-            {
-                continue;
-            }
-            let already_verified = self
-                .slots
-                .get(&sn)
-                .and_then(|slot| match phase {
-                    CertPhase::Prepare => slot.prepares.get(id),
-                    CertPhase::Commit => slot.commits.get(id),
-                })
-                .is_some_and(|vote| vote.verified && vote.digest == cert.digest);
-            if !already_verified {
-                pending.push((*id, *signature));
-            }
-        }
-        self.stats.collector_certs_absorbed += 1;
-        if pending.is_empty() {
-            self.maybe_advance(sn);
-            return;
-        }
-        let canonical = match phase {
-            CertPhase::Prepare => Message::Prepare(Prepare {
-                view: self.view,
-                sn,
-                digest: cert.digest,
-            }),
-            CertPhase::Commit => Message::Commit(Commit {
-                view: self.view,
-                sn,
-                digest: cert.digest,
-            }),
-        };
-        let bytes = zugchain_wire::to_bytes(&canonical);
-        let with_slot: Vec<(NodeId, Option<Signature>)> =
-            pending.iter().map(|(id, sig)| (*id, Some(*sig))).collect();
-        let (valid, invalid) = self.check_signatures(&with_slot, &bytes);
-        self.stats.cert_invalid_signatures += invalid.len() as u64;
-        let digest = cert.digest;
-        let slot = self.slots.entry(sn).or_default();
-        for id in valid {
-            let signature = pending
-                .iter()
-                .find(|(pid, _)| *pid == id)
-                .map(|(_, sig)| *sig);
-            let votes = match phase {
-                CertPhase::Prepare => &mut slot.prepares,
-                CertPhase::Commit => &mut slot.commits,
-            };
-            match votes.entry(id) {
-                std::collections::btree_map::Entry::Vacant(entry) => {
-                    entry.insert(Vote {
-                        digest,
-                        signature,
-                        verified: true,
-                    });
-                }
-                std::collections::btree_map::Entry::Occupied(mut entry) => {
-                    // A matching direct vote beat the certificate here;
-                    // upgrade its deferred signature check for free.
-                    let vote = entry.get_mut();
-                    if vote.digest == digest && !vote.verified {
-                        vote.signature = signature;
-                        vote.verified = true;
-                    }
-                }
-            }
-        }
-        self.maybe_advance(sn);
     }
 
     /// Advances the three-phase protocol for `sn` as far as possible.
@@ -1724,12 +1388,6 @@ impl Replica {
                 }
                 _ => Vec::new(),
             };
-            let disarm = std::mem::take(&mut slot.collector_prepare_armed);
-            if disarm {
-                self.effects.push(Effect::CancelTimer {
-                    id: ReplicaTimer::CollectorPrepare(sn),
-                });
-            }
             // The prepare span covers preprepare-accept → prepare-quorum
             // on this node, parented on this node's own preprepare span.
             self.emit_slot_spans(
@@ -1740,25 +1398,9 @@ impl Replica {
                 t_accept,
                 now,
             );
-            // The slot's collector rebroadcasts the prepare quorum it
-            // just validated as one certificate — the linear fast path.
-            if self.config.comm_mode == CommMode::Collector
-                && self.config.collector_of(view, sn) == self.id
-            {
-                self.broadcast_cert(sn, digest, CertPhase::Prepare);
-            }
-            let commit = Commit { view, sn, digest };
-            let signed = self.send_commit_vote(commit);
-            let own_signature = signed.signature();
+            self.broadcast(Message::Commit(Commit { view, sn, digest }));
             if let Some(slot) = self.slots.get_mut(&sn) {
-                slot.commits.insert(
-                    self.id,
-                    Vote {
-                        digest,
-                        signature: own_signature,
-                        verified: true,
-                    },
-                );
+                slot.commits.insert(self.id, digest);
             }
             self.maybe_advance(sn);
             return;
@@ -1778,12 +1420,6 @@ impl Replica {
                 }
                 _ => Vec::new(),
             };
-            let disarm = std::mem::take(&mut slot.collector_commit_armed);
-            if disarm {
-                self.effects.push(Effect::CancelTimer {
-                    id: ReplicaTimer::CollectorCommit(sn),
-                });
-            }
             // The commit span covers prepare-quorum → commit-quorum.
             self.emit_slot_spans(
                 Stage::Commit,
@@ -1793,11 +1429,6 @@ impl Replica {
                 t_prepared,
                 now,
             );
-            if self.config.comm_mode == CommMode::Collector
-                && self.config.collector_of(view, sn) == self.id
-            {
-                self.broadcast_cert(sn, digest, CertPhase::Commit);
-            }
             self.try_decide();
         }
     }
@@ -1881,51 +1512,6 @@ impl Replica {
     // View change
     // ------------------------------------------------------------------
 
-    /// Collector mode: degrade one phase of one slot to the all-to-all
-    /// exchange by re-broadcasting our own vote. Fired by the per-phase
-    /// fallback timer on collector silence, and echoed on receipt of a
-    /// *direct* vote from a peer (which can only mean some replica's
-    /// timer already fired). The echo closes a liveness gap the timers
-    /// alone leave open: a staggered fallback can complete the phase on
-    /// a strict subset of replicas, which then cancel their own one-shot
-    /// timers — without the echo their votes would only ever have
-    /// reached the dead collector, and the rest of the group would be
-    /// permanently short of quorum. Each replica re-broadcasts at most
-    /// once per slot per phase, so a full fallback costs O(n²) messages
-    /// — the plain PBFT exchange, not a storm.
-    fn fallback_to_all_to_all(&mut self, sn: u64, phase: CertPhase) {
-        if self.config.comm_mode != CommMode::Collector
-            || self.in_view_change()
-            || self.config.collector_of(self.view, sn) == self.id
-        {
-            return;
-        }
-        let Some(slot) = self.slots.get_mut(&sn) else {
-            return;
-        };
-        let votes = match phase {
-            CertPhase::Prepare => &slot.prepares,
-            CertPhase::Commit => &slot.commits,
-        };
-        let Some(digest) = votes.get(&self.id).map(|vote| vote.digest) else {
-            return;
-        };
-        let sent = match phase {
-            CertPhase::Prepare => &mut slot.prepare_rebroadcast,
-            CertPhase::Commit => &mut slot.commit_rebroadcast,
-        };
-        if std::mem::replace(sent, true) {
-            return;
-        }
-        self.stats.collector_fallbacks += 1;
-        self.metrics.collector_fallbacks.inc();
-        let view = self.view;
-        match phase {
-            CertPhase::Prepare => self.broadcast(Message::Prepare(Prepare { view, sn, digest })),
-            CertPhase::Commit => self.broadcast(Message::Commit(Commit { view, sn, digest })),
-        };
-    }
-
     /// Called by the runtime when a replica timer expires.
     ///
     /// `ViewChange(view)`: no `NewView` for `view` arrived in time — move
@@ -1950,22 +1536,6 @@ impl Replica {
                 self.armed_batch_timer = false;
                 if self.is_primary() && !self.in_view_change() {
                     self.flush_backlog(true);
-                }
-            }
-            ReplicaTimer::CollectorPrepare(sn) => {
-                let live = self.slots.get_mut(&sn).is_some_and(|slot| {
-                    std::mem::take(&mut slot.collector_prepare_armed) && !slot.prepared
-                });
-                if live {
-                    self.fallback_to_all_to_all(sn, CertPhase::Prepare);
-                }
-            }
-            ReplicaTimer::CollectorCommit(sn) => {
-                let live = self.slots.get_mut(&sn).is_some_and(|slot| {
-                    std::mem::take(&mut slot.collector_commit_armed) && !slot.committed
-                });
-                if live {
-                    self.fallback_to_all_to_all(sn, CertPhase::Commit);
                 }
             }
         }

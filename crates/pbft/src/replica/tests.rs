@@ -4,8 +4,8 @@ use zugchain_crypto::{Digest, Keystore};
 use zugchain_machine::Effect;
 
 use crate::{
-    AuthMode, CommMode, Config, Message, NodeId, PrePrepare, ProposedBatch, ProposedRequest,
-    Replica, ReplicaEvent, ReplicaTimer, SignedMessage,
+    Config, Message, NodeId, PrePrepare, ProposedBatch, ProposedRequest, Replica, ReplicaEvent,
+    ReplicaTimer, SignedMessage,
 };
 
 /// Events collected from all replicas during a harness run.
@@ -35,8 +35,6 @@ struct Cluster {
     vc_timers: Vec<Option<u64>>,
     /// Replicas whose partial-batch flush timer is armed.
     batch_timers: Vec<bool>,
-    /// Armed collector fallback timers per replica.
-    collector_timers: Vec<std::collections::BTreeSet<ReplicaTimer>>,
 }
 
 impl Cluster {
@@ -55,7 +53,6 @@ impl Cluster {
             collected: Collected::default(),
             vc_timers: vec![None; n],
             batch_timers: vec![false; n],
-            collector_timers: vec![std::collections::BTreeSet::new(); n],
         }
     }
 
@@ -79,26 +76,6 @@ impl Cluster {
             }
         }
         self.run_until_quiet();
-    }
-
-    /// Fires every armed collector fallback timer, redelivering until
-    /// both the network and the timer set are quiet — the "collector
-    /// went silent" schedule.
-    fn fire_collector_timers(&mut self) {
-        for _ in 0..16 {
-            let mut fired = false;
-            for index in 0..self.replicas.len() {
-                for timer in std::mem::take(&mut self.collector_timers[index]) {
-                    self.replicas[index].on_timer(timer);
-                    fired = true;
-                }
-            }
-            if !fired {
-                return;
-            }
-            self.run_until_quiet();
-        }
-        panic!("collector timers never quiesced");
     }
 
     fn keystore(&self) -> Keystore {
@@ -150,17 +127,6 @@ impl Cluster {
                     id: ReplicaTimer::BatchFlush,
                 } => {
                     self.batch_timers[index] = false;
-                }
-                Effect::SetTimer {
-                    id: id @ (ReplicaTimer::CollectorPrepare(_) | ReplicaTimer::CollectorCommit(_)),
-                    ..
-                } => {
-                    self.collector_timers[index].insert(id);
-                }
-                Effect::CancelTimer {
-                    id: id @ (ReplicaTimer::CollectorPrepare(_) | ReplicaTimer::CollectorCommit(_)),
-                } => {
-                    self.collector_timers[index].remove(&id);
                 }
                 Effect::Output(ReplicaEvent::Decide { sn, request }) => {
                     self.collected.decides.push((id, sn, request));
@@ -1258,234 +1224,4 @@ fn full_buffer_drops_incoming_farther_view_message() {
                 && prepared),
         "the full view-1 round must survive the stray: {slots:?}"
     );
-}
-
-// ----------------------------------------------------------------------
-// Collector communication mode
-// ----------------------------------------------------------------------
-
-fn collector_cluster(n: usize) -> Cluster {
-    Cluster::with_config(
-        n,
-        Config::new(n).unwrap().with_comm_mode(CommMode::Collector),
-    )
-}
-
-#[test]
-fn collector_mode_every_replica_decides() {
-    let mut cluster = collector_cluster(4);
-    for tag in 1..=3 {
-        cluster.replicas[0].propose(request(tag, 0));
-    }
-    cluster.run_until_quiet();
-    for id in 0..4 {
-        let decides = cluster.decides_on(id);
-        let sns: Vec<u64> = decides.iter().map(|(sn, _)| *sn).collect();
-        assert_eq!(sns, vec![1, 2, 3], "replica {id}");
-    }
-    let sum = |pick: fn(&crate::ReplicaStats) -> u64| -> u64 {
-        cluster
-            .replicas
-            .iter()
-            .map(|replica| pick(&replica.stats()))
-            .sum()
-    };
-    assert_eq!(
-        sum(|stats| stats.collector_certs_sent),
-        6,
-        "one prepare and one commit certificate per slot"
-    );
-    assert!(
-        sum(|stats| stats.collector_certs_absorbed) > 0,
-        "backups advance on certificates"
-    );
-    assert_eq!(
-        sum(|stats| stats.collector_fallbacks),
-        0,
-        "the quiet path never falls back"
-    );
-}
-
-#[test]
-fn collector_mode_vote_traffic_is_linear() {
-    use std::cell::Cell;
-    use std::rc::Rc;
-    let deliveries = Rc::new(Cell::new(0u64));
-    let counter = Rc::clone(&deliveries);
-    let mut cluster = collector_cluster(4);
-    cluster.set_filter(move |_, message| {
-        if matches!(message.message.kind(), "prepare" | "commit") {
-            counter.set(counter.get() + 1);
-        }
-        true
-    });
-    cluster.replicas[0].propose(request(7, 0));
-    cluster.run_until_quiet();
-    for id in 0..4 {
-        assert_eq!(cluster.decides_on(id).len(), 1, "replica {id}");
-    }
-    // Slot 1's collector is node 1. Prepares travel 2→1 and 3→1 (the
-    // primary sends none, the collector keeps its own); commits travel
-    // 0→1, 2→1, 3→1. Five point-to-point votes where the all-to-all
-    // exchange delivers 3·3 prepares + 4·3 commits = 21.
-    assert_eq!(deliveries.get(), 5);
-}
-
-#[test]
-fn silent_collector_falls_back_to_all_to_all() {
-    let mut cluster = collector_cluster(4);
-    // Certificates vanish in transit: the collector aggregates but
-    // nobody hears it — indistinguishable from a silent collector.
-    cluster
-        .set_filter(|_, message| !matches!(message.message.kind(), "prepare-cert" | "commit-cert"));
-    cluster.replicas[0].propose(request(4, 0));
-    cluster.run_until_quiet();
-    assert!(
-        cluster.collected.decides.len() < 4,
-        "certificates lost: the group must stall until the fallback"
-    );
-    cluster.fire_collector_timers();
-    for id in 0..4 {
-        assert_eq!(
-            cluster.decides_on(id),
-            vec![(1, vec![4; 16])],
-            "replica {id} decides after the fallback"
-        );
-    }
-    let fallbacks: u64 = cluster
-        .replicas
-        .iter()
-        .map(|replica| replica.stats().collector_fallbacks)
-        .sum();
-    assert!(fallbacks > 0, "the fallback path was exercised");
-}
-
-#[test]
-fn crashed_collector_is_survived_by_fallback() {
-    let mut cluster = collector_cluster(4);
-    // Node 1 — the collector for sn 1 — is dead: nothing in, nothing out.
-    cluster.set_filter(|dest, message| dest != 1 && message.from != NodeId(1));
-    cluster.replicas[0].propose(request(5, 0));
-    cluster.run_until_quiet();
-    assert!(
-        cluster.collected.decides.is_empty(),
-        "no decide can happen while every vote sits at the dead collector"
-    );
-    cluster.fire_collector_timers();
-    for id in [0, 2, 3] {
-        assert_eq!(
-            cluster.decides_on(id),
-            vec![(1, vec![5; 16])],
-            "replica {id} decides without the collector"
-        );
-    }
-}
-
-#[test]
-fn staggered_fallback_converges_via_vote_echo() {
-    // Regression: a crashed collector plus a *staggered* fallback used
-    // to strand the group. If one replica's fallback timer fires first,
-    // its broadcast can complete the prepare phase on a strict subset of
-    // replicas — which then cancel their own one-shot timers, so their
-    // votes (sent only to the dead collector) are never heard and the
-    // rest stay short of quorum forever. The echo rule closes the gap:
-    // receiving a direct vote re-broadcasts your own, even when your
-    // phase already completed.
-    let mut cluster = collector_cluster(4);
-    // Node 1 — the collector for sn 1 — is dead.
-    cluster.set_filter(|dest, message| dest != 1 && message.from != NodeId(1));
-    cluster.replicas[0].propose(request(6, 0));
-    cluster.run_until_quiet();
-    assert!(cluster.collected.decides.is_empty());
-    // Fire ONLY node 2's prepare fallback. Node 3 then holds two
-    // non-primary prepares (its own plus node 2's) and completes the
-    // phase; nodes 0 and 2 hold one each and would deadlock without the
-    // echo from node 3.
-    let timer = ReplicaTimer::CollectorPrepare(1);
-    assert!(cluster.collector_timers[2].remove(&timer));
-    cluster.replicas[2].on_timer(timer);
-    cluster.run_until_quiet();
-    for id in [0, 2, 3] {
-        let slots = cluster.replicas[id].slot_snapshot();
-        assert!(
-            slots.iter().all(|&(_, _, _, _, prepared, _)| prepared),
-            "replica {id} must prepare off the echoed votes: {slots:?}"
-        );
-    }
-    // Node 2's own echo trigger (node 3's direct prepare) must not
-    // re-broadcast: the timer fallback already spent the once-only flag.
-    assert_eq!(cluster.replicas[2].stats().collector_fallbacks, 1);
-    // The commit phase degrades the same way once the remaining one-shot
-    // timers fire; every live replica decides.
-    cluster.fire_collector_timers();
-    for id in [0, 2, 3] {
-        assert_eq!(
-            cluster.decides_on(id),
-            vec![(1, vec![6; 16])],
-            "replica {id} decides despite the staggered fallback"
-        );
-    }
-}
-
-#[test]
-fn forged_certificate_signatures_are_rejected() {
-    let (pairs, _) = Keystore::generate(4, 42);
-    let mut cluster = collector_cluster(4);
-    // Signatures lifted from a view-7 prepare do not verify against the
-    // canonical view-0 vote bytes, however official the envelope looks.
-    let forged: Vec<_> = [1u64, 2]
-        .iter()
-        .map(|&id| {
-            let decoy = SignedMessage::sign(
-                NodeId(id),
-                Message::Prepare(crate::Prepare {
-                    view: 7,
-                    sn: 1,
-                    digest: Digest::ZERO,
-                }),
-                &pairs[id as usize],
-            );
-            (NodeId(id), decoy.signature().unwrap())
-        })
-        .collect();
-    let cert = Message::PrepareCert(crate::VoteCert {
-        view: 0,
-        sn: 1,
-        digest: Digest::ZERO,
-        signatures: forged,
-    });
-    let signed = SignedMessage::sign(NodeId(1), cert, &pairs[1]);
-    cluster.replicas[3].on_message(signed);
-    let _ = cluster.replicas[3].drain_effects();
-    assert_eq!(cluster.replicas[3].stats().collector_certs_absorbed, 1);
-    assert_eq!(cluster.replicas[3].stats().cert_invalid_signatures, 2);
-    let slots = cluster.replicas[3].slot_snapshot();
-    assert!(
-        slots.iter().all(|&(_, _, prepares, _, _, _)| prepares == 0),
-        "no forged vote may be recorded: {slots:?}"
-    );
-}
-
-#[test]
-fn collector_mode_decides_under_mac_auth() {
-    let config = Config::new(4)
-        .unwrap()
-        .with_comm_mode(CommMode::Collector)
-        .with_auth_mode(AuthMode::MacWithSigFallback);
-    let mut cluster = Cluster::with_config(4, config);
-    for tag in 1..=2 {
-        cluster.replicas[0].propose(request(tag, 0));
-    }
-    cluster.run_until_quiet();
-    for id in 0..4 {
-        let decides = cluster.decides_on(id);
-        let sns: Vec<u64> = decides.iter().map(|(sn, _)| *sn).collect();
-        assert_eq!(sns, vec![1, 2], "replica {id}");
-    }
-    let sent: u64 = cluster
-        .replicas
-        .iter()
-        .map(|replica| replica.stats().collector_certs_sent)
-        .sum();
-    assert_eq!(sent, 4, "MAC envelopes still carry signed votes for certs");
 }

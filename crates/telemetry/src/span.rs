@@ -1,5 +1,5 @@
 //! Causal spans: the distributed-tracing view of the event model
-//! (DESIGN.md §17).
+//! (DESIGN.md §16).
 //!
 //! A [`Span`] is one pipeline stage of one request's lifecycle on one
 //! node, timestamped from the same runtime-driven clock as every other

@@ -1,4 +1,4 @@
-//! Causal trace context carried in wire envelopes (DESIGN.md §17).
+//! Causal trace context carried in wire envelopes (DESIGN.md §16).
 //!
 //! A [`TraceCtx`] names one request's journey through the pipeline: a
 //! 64-bit trace id derived **deterministically** from `(train, origin,

@@ -254,99 +254,6 @@ fn auth_mode_is_invisible_in_the_decided_logs() {
     }
 }
 
-/// The communication-mode half of the collector fast path's contract:
-/// the crash-and-view-change scenario, at batch size 1 and 16, decides
-/// **bit-identical** per-request `(sn, digest)` logs whether votes flow
-/// all-to-all or through the per-slot collector — on the deterministic
-/// simulator and on both live runtimes. How votes travel is transport
-/// topology; it must never reach the decided log. (The scripted crash
-/// of node 0 doubles as fallback coverage: node 0 is the collector for
-/// every fourth slot, so post-crash slots it would have collected only
-/// decide via the fallback timers.)
-#[test]
-fn comm_mode_is_invisible_in_the_decided_logs() {
-    use zugchain_pbft::CommMode;
-    let collector_config = |batch: usize| {
-        let mut config = node_config(batch, AuthMode::Sig);
-        config.pbft = config.pbft.with_comm_mode(CommMode::Collector);
-        config
-    };
-    for batch in [1usize, 16] {
-        let all_to_all = sim_decided(node_config(batch, AuthMode::Sig));
-        let collector = sim_decided(collector_config(batch));
-        check_one_runtime(&collector, &format!("sim/collector/batch{batch}"));
-        assert_eq!(
-            all_to_all, collector,
-            "batch {batch}: sim decided logs must not depend on the comm mode"
-        );
-
-        let threaded = live_decided!(ThreadedCluster::start(N, collector_config(batch)));
-        check_one_runtime(&threaded, &format!("threaded/collector/batch{batch}"));
-
-        let tcp = live_decided!(
-            TcpCluster::start(N, collector_config(batch)).expect("loopback sockets available")
-        );
-        check_one_runtime(&tcp, &format!("tcp/collector/batch{batch}"));
-
-        assert_eq!(
-            collector, threaded,
-            "batch {batch}: sim and threaded agree in collector mode"
-        );
-        assert_eq!(
-            threaded, tcp,
-            "batch {batch}: threaded and tcp agree in collector mode"
-        );
-    }
-}
-
-/// Dedicated collector-crash fallback scenario: crash node 2 — never
-/// the primary, but the collector for every fourth slot — mid-script.
-/// Slots it would have collected can only decide via the per-phase
-/// fallback timers degrading to all-to-all, and the surviving nodes'
-/// decided logs must still be bit-identical to an all-to-all run under
-/// the same crash.
-#[test]
-fn crashed_collector_slots_decide_identically_to_all_to_all() {
-    use zugchain_pbft::CommMode;
-    let run = |comm_mode: CommMode| {
-        let mut node_config = node_config(1, AuthMode::Sig);
-        node_config.pbft = node_config.pbft.with_comm_mode(comm_mode);
-        let mut config = ScenarioConfig {
-            mode: Mode::Zugchain,
-            n_nodes: N,
-            bus_cycle_ms: 64,
-            duration_ms: 12_000,
-            workload: Workload::Scripted {
-                payloads: payloads()
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, payload)| (1_000 + 1_000 * i as u64, payload))
-                    .collect(),
-            },
-            node_config,
-            ..ScenarioConfig::default()
-        };
-        // sn 2 (node 2's collector slot) decides before the crash; sn 6
-        // after it, so the prepare and commit fallback timers carry it.
-        config.faults.crash = Some((2, 2_500));
-        run_scenario(&config, 77).decided
-    };
-    let all_to_all = run(CommMode::AllToAll);
-    let collector = run(CommMode::Collector);
-    let expected: Vec<Digest> = payloads().iter().map(|p| Digest::of(p)).collect();
-    for node in [0usize, 1, 3] {
-        let digests: Vec<Digest> = collector[node].iter().map(|(_, d)| *d).collect();
-        assert_eq!(
-            digests, expected,
-            "node {node} decided the full script despite the dead collector"
-        );
-        assert_eq!(
-            collector[node], all_to_all[node],
-            "node {node}: collector-mode log matches all-to-all under the same crash"
-        );
-    }
-}
-
 /// A mixed-mode group: replicas 0 and 2 authenticate with signatures
 /// only, replicas 1 and 3 speak session MACs (with the embedded
 /// signature fallback). Receivers accept either form, so the group must

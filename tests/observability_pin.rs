@@ -14,8 +14,11 @@ use zugchain_sim::{run_traced_pipeline, Mode, ScenarioConfig, Simulation, Worklo
 /// SHA-256 of the seed-77 trace fingerprint (config as in `trace_smoke`).
 const TRACE_FINGERPRINT_SHA256: &str =
     "083ff7ec73ba19b14f2838dc753912a5e6e872c745090c47f91705bf5bfb6c86";
-/// SHA-256 of the seed-1 instrumented exposition (5 s, 256 B payloads).
-const EXPOSITION_SHA256: &str = "6a6d7024246cece53819144bd961ea42fc3838a0f83e43b29ecbbfe3cfe2425e";
+/// SHA-256 of the seed-1 instrumented exposition (5 s, 256 B payloads):
+/// the bytes taken before the collector comm mode was removed, minus its
+/// 13 always-zero lines (the `zugchain_pbft_collector_fallbacks_total`
+/// family and the `prepare-cert`/`commit-cert` message counters).
+const EXPOSITION_SHA256: &str = "a7c4008e879a15eb336b4b782423b99fee49098ab9706f866e4f69c30945bdbc";
 
 fn config(duration_ms: u64) -> ScenarioConfig {
     ScenarioConfig {
