@@ -132,11 +132,10 @@ impl BaselineNode {
         }
     }
 
-    fn on_decide(&mut self, sn: u64, request: ProposedRequest) {
+    fn on_decide(&mut self, sn: u64, request: ProposedRequest, digest: Digest) {
         if request.is_noop() {
             return;
         }
-        let digest = request.payload_digest();
         if self.open.remove(&digest).is_some() {
             self.effects.push(Effect::CancelTimer {
                 id: TimerId::Hard(digest),
@@ -149,6 +148,7 @@ impl BaselineNode {
             sn,
             origin: request.origin,
             payload: request.payload.clone(),
+            digest,
         }));
         let logged = LoggedRequest {
             sn,
@@ -215,8 +215,12 @@ impl BaselineNode {
                 Effect::CancelTimer { id } => {
                     self.effects.push(Effect::CancelTimer { id: id.into() });
                 }
-                Effect::Output(ReplicaEvent::Decide { sn, request }) => {
-                    self.on_decide(sn, request);
+                Effect::Output(ReplicaEvent::Decide {
+                    sn,
+                    request,
+                    payload_digest,
+                }) => {
+                    self.on_decide(sn, request, payload_digest);
                 }
                 Effect::Output(ReplicaEvent::NewPrimary { view, primary }) => {
                     self.on_new_primary(view, primary);

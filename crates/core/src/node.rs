@@ -26,6 +26,8 @@ pub enum NodeEvent {
         origin: NodeId,
         /// The request payload.
         payload: Vec<u8>,
+        /// Content digest of `payload`, as consensus already hashed it.
+        digest: Digest,
     },
     /// A block was bundled and appended to the local chain.
     BlockCreated {
@@ -603,11 +605,10 @@ impl ZugchainNode {
     }
 
     /// Algorithm 1, `upon DECIDE(r, sn)` (ln. 12–20).
-    fn on_decide(&mut self, sn: u64, request: ProposedRequest) {
+    fn on_decide(&mut self, sn: u64, request: ProposedRequest, digest: Digest) {
         if request.is_noop() {
             return; // view-change gap filler, nothing to log
         }
-        let digest = request.payload_digest();
 
         // ln. 13–16: clear queue entry and any timers.
         if let Some(pending) = self.pending.remove(&digest) {
@@ -639,6 +640,7 @@ impl ZugchainNode {
             sn,
             origin: request.origin,
             payload: request.payload.clone(),
+            digest,
         }));
         let logged = LoggedRequest {
             sn,
@@ -837,8 +839,12 @@ impl ZugchainNode {
                 Effect::CancelTimer { id } => {
                     self.effects.push(Effect::CancelTimer { id: id.into() });
                 }
-                Effect::Output(ReplicaEvent::Decide { sn, request }) => {
-                    self.on_decide(sn, request);
+                Effect::Output(ReplicaEvent::Decide {
+                    sn,
+                    request,
+                    payload_digest,
+                }) => {
+                    self.on_decide(sn, request, payload_digest);
                 }
                 Effect::Output(ReplicaEvent::NewPrimary { view, primary }) => {
                     self.on_new_primary(view, primary);

@@ -8,7 +8,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use zugchain_crypto::{KeyPair, Keystore};
+use zugchain_crypto::{Digest, KeyPair, Keystore};
 use zugchain_machine::Effect;
 use zugchain_mvb::Nsdb;
 use zugchain_pbft::NodeId;
@@ -204,7 +204,11 @@ impl Cluster {
                     sn,
                     origin,
                     payload,
+                    digest,
                 }) => {
+                    // The carried digest replaces a re-hash downstream:
+                    // it must be the payload's own.
+                    assert_eq!(digest, Digest::of(&payload), "node {index} sn {sn}");
                     self.logged[index].push(LoggedEntry {
                         sn,
                         origin,

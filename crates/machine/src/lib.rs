@@ -284,19 +284,21 @@ impl<M: WireMessage> Frame<M> {
 
 /// Timer-generation bookkeeping shared by every runtime.
 ///
-/// Arming a timer id bumps its generation; the runtime schedules a wakeup
-/// carrying `(id, generation)`. Cancelling (or re-arming) bumps the
-/// generation again, so a wakeup that was already queued fires with a
-/// stale generation and is dropped by [`fire`](TimerTable::fire). This
-/// gives runtimes that cannot unschedule wakeups (discrete-event queues)
-/// and runtimes that can (deadline maps) identical cancellation
-/// semantics — the divergence that previously let a cancelled-then-
-/// refired soft timeout double-propose on some runtimes.
+/// Arming a timer id takes a fresh generation from one counter for the
+/// whole table; the runtime schedules a wakeup carrying
+/// `(id, generation)`. Only the armed generation of each id is kept, so
+/// a wakeup queued before a cancel or re-arm fires with a stale
+/// generation and is dropped by [`fire`](TimerTable::fire), and a timer
+/// that is no longer armed leaves nothing behind. This gives runtimes
+/// that cannot unschedule wakeups (discrete-event queues) and runtimes
+/// that can (deadline maps) identical cancellation semantics — the
+/// divergence that previously let a cancelled-then-refired soft timeout
+/// double-propose on some runtimes.
 #[derive(Debug, Default)]
 pub struct TimerTable<T: Ord> {
-    generations: BTreeMap<T, u64>,
-    /// Generations currently armed (a fired or cancelled timer stays in
-    /// `generations` so late duplicates remain stale, but leaves `armed`).
+    /// The last generation handed out; generations are never reused.
+    next: u64,
+    /// The generation each armed timer is waiting for.
     armed: BTreeMap<T, u64>,
 }
 
@@ -304,7 +306,7 @@ impl<T: Copy + Ord> TimerTable<T> {
     /// Creates an empty table.
     pub fn new() -> Self {
         Self {
-            generations: BTreeMap::new(),
+            next: 0,
             armed: BTreeMap::new(),
         }
     }
@@ -312,17 +314,14 @@ impl<T: Copy + Ord> TimerTable<T> {
     /// Arms `id`, invalidating any queued expiry, and returns the new
     /// generation to schedule.
     pub fn arm(&mut self, id: T) -> u64 {
-        let generation = self.generations.entry(id).or_insert(0);
-        *generation += 1;
-        self.armed.insert(id, *generation);
-        *generation
+        self.next += 1;
+        self.armed.insert(id, self.next);
+        self.next
     }
 
     /// Cancels `id`: any queued expiry becomes stale.
     pub fn cancel(&mut self, id: T) {
-        if self.armed.remove(&id).is_some() {
-            *self.generations.entry(id).or_insert(0) += 1;
-        }
+        self.armed.remove(&id);
     }
 
     /// Returns `true` if `(id, generation)` is the currently armed expiry.
@@ -348,10 +347,7 @@ impl<T: Copy + Ord> TimerTable<T> {
 
     /// Disarms everything (crash simulation).
     pub fn clear(&mut self) {
-        let armed: Vec<T> = self.armed.keys().copied().collect();
-        for id in armed {
-            self.cancel(id);
-        }
+        self.armed.clear();
     }
 }
 
@@ -715,6 +711,30 @@ mod tests {
         let gen2 = table.arm(1);
         assert!(!table.fire(1, gen1));
         assert!(table.fire(1, gen2));
+    }
+
+    /// Regression: every backup arms a soft timer per request id, so a
+    /// table that remembered disarmed ids grew by one entry per request
+    /// for the life of the process.
+    #[test]
+    fn disarmed_timers_leave_nothing_behind() {
+        let mut table: TimerTable<u32> = TimerTable::new();
+        let mut generations = Vec::new();
+        for id in 0..10_000 {
+            generations.push(table.arm(id));
+            table.cancel(id);
+        }
+        let fired = table.arm(10_000);
+        assert!(table.fire(10_000, fired));
+        assert_eq!(table.armed_len(), 0);
+        assert_eq!(
+            format!("{table:?}"),
+            "TimerTable { next: 10001, armed: {} }"
+        );
+        // Queued expiries of every cancelled generation stay stale.
+        for (id, generation) in (0..).zip(generations) {
+            assert!(!table.fire(id, generation));
+        }
     }
 
     #[test]

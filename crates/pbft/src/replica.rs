@@ -33,6 +33,9 @@ pub enum ReplicaEvent {
         sn: u64,
         /// The ordered request (may be a no-op gap filler).
         request: ProposedRequest,
+        /// Content digest of the request's payload, hashed once when the
+        /// batch was built or decoded ([`ProposedBatch::payload_digests`]).
+        payload_digest: Digest,
     },
     /// A view change completed: the `NEWPRIMARY` up-call of Table I.
     NewPrimary {
@@ -1478,31 +1481,33 @@ impl Replica {
             let now = self.telemetry.now_ms();
             let requests = preprepare.batch.into_requests();
             self.metrics.batch_occupancy.observe(requests.len() as u64);
-            for (offset, request) in requests.into_iter().enumerate() {
+            for ((offset, request), payload_digest) in requests.into_iter().enumerate().zip(digests)
+            {
                 let sn = base + offset as u64;
                 if sn <= self.decided_up_to {
                     continue; // already covered by a state transfer
                 }
                 if self.telemetry.is_enabled() && !request.is_noop() {
-                    if let Some(digest) = digests.get(offset) {
-                        // The decide span closes the consensus phase:
-                        // commit-quorum → in-order execution up-call.
-                        self.proposed_at.remove(digest);
-                        self.emit_slot_spans(
-                            Stage::Decide,
-                            Stage::Commit,
-                            Some(self.id.0),
-                            &[(sn, request.origin.0, *digest)],
-                            t_committed,
-                            now,
-                        );
-                    }
+                    // The decide span closes the consensus phase:
+                    // commit-quorum → in-order execution up-call.
+                    self.proposed_at.remove(&payload_digest);
+                    self.emit_slot_spans(
+                        Stage::Decide,
+                        Stage::Commit,
+                        Some(self.id.0),
+                        &[(sn, request.origin.0, payload_digest)],
+                        t_committed,
+                        now,
+                    );
                 }
                 self.decided_up_to = sn;
                 self.stats.decided += 1;
                 self.metrics.decided.inc();
-                self.effects
-                    .push(Effect::Output(ReplicaEvent::Decide { sn, request }));
+                self.effects.push(Effect::Output(ReplicaEvent::Decide {
+                    sn,
+                    request,
+                    payload_digest,
+                }));
             }
             self.metrics.decided_up_to.set(self.decided_up_to as i64);
         }

@@ -128,7 +128,12 @@ impl Cluster {
                 } => {
                     self.batch_timers[index] = false;
                 }
-                Effect::Output(ReplicaEvent::Decide { sn, request }) => {
+                Effect::Output(ReplicaEvent::Decide {
+                    sn,
+                    request,
+                    payload_digest,
+                }) => {
+                    assert_eq!(payload_digest, request.payload_digest(), "sn {sn}");
                     self.collected.decides.push((id, sn, request));
                 }
                 Effect::Output(ReplicaEvent::NewPrimary { view, primary }) => {
@@ -1115,7 +1120,7 @@ fn decides_resume_past_a_vote_only_slot_after_a_mid_batch_checkpoint() {
         .drain_effects()
         .into_iter()
         .filter_map(|effect| match effect {
-            Effect::Output(ReplicaEvent::Decide { sn, request }) => Some((sn, request.payload)),
+            Effect::Output(ReplicaEvent::Decide { sn, request, .. }) => Some((sn, request.payload)),
             _ => None,
         })
         .collect();

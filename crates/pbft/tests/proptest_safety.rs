@@ -57,7 +57,9 @@ fn run(schedule: &Schedule) -> Vec<Vec<(u64, Vec<u8>)>> {
                     Effect::Send { to, message } if to.0 as usize != index => {
                         queue.push((to.0 as usize, message));
                     }
-                    Effect::Output(ReplicaEvent::Decide { sn, request }) if !request.is_noop() => {
+                    Effect::Output(ReplicaEvent::Decide { sn, request, .. })
+                        if !request.is_noop() =>
+                    {
                         decided[index].push((sn, request.payload));
                     }
                     _ => {}

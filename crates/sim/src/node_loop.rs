@@ -9,9 +9,18 @@
 //!
 //! Channels deliver by cloning the message out of the frame (never
 //! encoding); TCP writes [`Frame::bytes`] — computed once per broadcast —
-//! to every socket.
+//! into every peer's send buffer.
+//!
+//! The loop works in bursts: it blocks for one input, takes everything
+//! already queued behind it, handles that burst (stopping early only if
+//! the earliest armed timer comes due), fires due timers, and only then
+//! calls [`PeerLink::flush`]. A link that buffers (TCP) thus sends every
+//! frame a burst produced for one peer in one write, and nothing is ever
+//! left buffered while the loop blocks. Inputs that arrive while a burst
+//! is handled belong to the next one: under a steady stream of traffic a
+//! burst still ends, so its frames are not held back by later arrivals.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
@@ -20,7 +29,6 @@ use zugchain::{
     ZugchainNode,
 };
 use zugchain_blockchain::DiskStore;
-use zugchain_crypto::Digest;
 use zugchain_machine::{Driver, Frame, Host};
 use zugchain_mvb::Telegram;
 use zugchain_pbft::NodeId;
@@ -55,7 +63,13 @@ pub(crate) trait PeerLink {
     fn peer_count(&self) -> usize;
 
     /// Delivers `frame` to peer `to` (never called with `to == self`).
+    /// A link may hold the frame back until [`flush`](Self::flush), but
+    /// frames to one peer always leave in the order they were delivered.
     fn deliver(&mut self, to: usize, frame: &Frame<NodeMessage>);
+
+    /// Sends everything delivered so far. The loop calls this after each
+    /// burst, before it blocks again, and before it exits.
+    fn flush(&mut self);
 }
 
 /// A crossbeam-channel link: in-process delivery clones the message out
@@ -74,6 +88,9 @@ impl PeerLink for ChannelLink {
             let _ = sender.send(LoopInput::Message(frame.to_message()));
         }
     }
+
+    /// Nothing to do: a channel send is already a delivery.
+    fn flush(&mut self) {}
 }
 
 /// The runtime-mechanics side of the driver: frames go through the link,
@@ -119,13 +136,14 @@ impl<T: PeerLink> Host<TrainMachine<ZugchainNode>> for ThreadHost<'_, T> {
                 sn,
                 origin,
                 payload,
+                digest,
             } => {
                 let _ = self.events.send(ClusterEvent::Logged {
                     node: self.id,
                     sn,
                     origin,
                     payload_len: payload.len(),
-                    digest: Digest::of(&payload),
+                    digest,
                 });
             }
             NodeEvent::BlockCreated { block } => {
@@ -163,9 +181,10 @@ impl<T: PeerLink> Host<TrainMachine<ZugchainNode>> for ThreadHost<'_, T> {
 }
 
 /// The per-node event loop: inputs in, effects routed by the driver,
-/// timers via `recv_timeout` against the earliest deadline. `start` is
-/// the cluster's common clock origin, so every node stamps its events
-/// on one timeline.
+/// timers via `recv_timeout` against the earliest deadline, the link
+/// flushed once per burst (see the module docs). `start` is the
+/// cluster's common clock origin, so every node stamps its events on one
+/// timeline.
 pub(crate) fn node_loop<T: PeerLink>(
     mut node: ZugchainNode,
     inbox: Receiver<LoopInput>,
@@ -185,62 +204,80 @@ pub(crate) fn node_loop<T: PeerLink>(
     );
     let mut deadlines: BTreeMap<TimerId, (Instant, u64)> = BTreeMap::new();
     let mut crashed = false;
+    // The current burst: inputs taken from the inbox, not yet handled.
+    let mut burst = VecDeque::new();
 
-    loop {
-        let now = Instant::now();
-        let timeout = deadlines
-            .values()
-            .map(|(deadline, _)| deadline.saturating_duration_since(now))
-            .min()
-            .unwrap_or(Duration::from_millis(100));
-
-        let input = match inbox.recv_timeout(timeout) {
-            Ok(LoopInput::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
-            Ok(LoopInput::Crash) => {
-                crashed = true;
-                deadlines.clear();
-                driver.clear_timers();
-                None
+    'run: loop {
+        if burst.is_empty() {
+            let now = Instant::now();
+            let timeout = deadlines
+                .values()
+                .map(|(deadline, _)| deadline.saturating_duration_since(now))
+                .min()
+                .unwrap_or(Duration::from_millis(100));
+            match inbox.recv_timeout(timeout) {
+                Ok(input) => burst.push_back(input),
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => break,
             }
-            Ok(input) if crashed => {
-                drop(input);
-                None
+            // The burst is what is queued now. Inputs that arrive while
+            // it is handled wait for the next burst, so no frame stays
+            // buffered for longer than one burst takes.
+            while let Ok(input) = inbox.try_recv() {
+                burst.push_back(input);
             }
-            Ok(LoopInput::RawPayload(payload)) => Some(NodeInput::RawPayload {
-                payload,
-                time_ms: start.elapsed().as_millis() as u64,
-            }),
-            Ok(LoopInput::Telegrams {
-                cycle,
-                time_ms,
-                telegrams,
-            }) => Some(NodeInput::BusCycle {
-                source: 0,
-                cycle,
-                time_ms,
-                telegrams,
-            }),
-            Ok(LoopInput::Message(message)) => Some(NodeInput::Message(message)),
-            Err(RecvTimeoutError::Timeout) => None,
-        };
-        // Live runtimes stamp events with wall time since cluster
-        // start, read after the wait so that an input is never stamped
-        // earlier than its sender's own events.
-        telemetry.set_time_ms(start.elapsed().as_millis() as u64);
-
-        if let Some(input) = input {
-            let mut host = ThreadHost {
-                id,
-                link: &mut link,
-                deadlines: &mut deadlines,
-                events: &events,
-                disk: disk.as_ref(),
+        }
+        while let Some(input) = burst.pop_front() {
+            let input = match input {
+                LoopInput::Shutdown => break 'run,
+                LoopInput::Crash => {
+                    crashed = true;
+                    deadlines.clear();
+                    driver.clear_timers();
+                    None
+                }
+                _ if crashed => None,
+                LoopInput::RawPayload(payload) => Some(NodeInput::RawPayload {
+                    payload,
+                    time_ms: start.elapsed().as_millis() as u64,
+                }),
+                LoopInput::Telegrams {
+                    cycle,
+                    time_ms,
+                    telegrams,
+                } => Some(NodeInput::BusCycle {
+                    source: 0,
+                    cycle,
+                    time_ms,
+                    telegrams,
+                }),
+                LoopInput::Message(message) => Some(NodeInput::Message(message)),
             };
-            driver.on_input(input, &mut host);
+            // Live runtimes stamp events with wall time since cluster
+            // start, read after the wait so that an input is never
+            // stamped earlier than its sender's own events.
+            telemetry.set_time_ms(start.elapsed().as_millis() as u64);
+            if let Some(input) = input {
+                let mut host = ThreadHost {
+                    id,
+                    link: &mut link,
+                    deadlines: &mut deadlines,
+                    events: &events,
+                    disk: disk.as_ref(),
+                };
+                driver.on_input(input, &mut host);
+            }
+            // A due timer cuts the burst short; the rest of it is handled
+            // once the timer has fired.
+            let now = Instant::now();
+            if deadlines.values().any(|(deadline, _)| *deadline <= now) {
+                break;
+            }
         }
 
         // Fire due timers.
         if !crashed {
+            telemetry.set_time_ms(start.elapsed().as_millis() as u64);
             let now = Instant::now();
             let due: Vec<(TimerId, u64)> = deadlines
                 .iter()
@@ -264,7 +301,11 @@ pub(crate) fn node_loop<T: PeerLink>(
                 driver.on_timer_fired(timer, gen, &mut host);
             }
         }
+        link.flush();
     }
+    // On `Shutdown` (or a dropped inbox) the last burst's frames still
+    // leave.
+    link.flush();
 
     let mut node = driver.into_machine().0;
     NodeSummary {
@@ -272,5 +313,164 @@ pub(crate) fn node_loop<T: PeerLink>(
         stats: node.stats(),
         stable_proofs: node.stable_proofs().to_vec(),
         chain: std::mem::take(node.chain_mut()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crossbeam::channel::{bounded, unbounded};
+    use std::sync::{Arc, Mutex};
+    use zugchain::NodeConfig;
+    use zugchain_crypto::Keystore;
+    use zugchain_mvb::Nsdb;
+    use zugchain_pbft::Message;
+
+    /// What a [`RecordingLink`] saw: deliveries not yet flushed, and the
+    /// deliveries of each flush that sent something.
+    #[derive(Default)]
+    struct Wire {
+        pending: Vec<(usize, NodeMessage)>,
+        flushes: Vec<Vec<(usize, NodeMessage)>>,
+    }
+
+    /// Records deliveries and flushes. With `late` set, the first
+    /// delivery also queues that input in the node's own inbox: an input
+    /// that arrives while a burst is being handled.
+    struct RecordingLink {
+        wire: Arc<Mutex<Wire>>,
+        late: Option<(Sender<LoopInput>, LoopInput)>,
+    }
+
+    impl PeerLink for RecordingLink {
+        fn peer_count(&self) -> usize {
+            4
+        }
+
+        fn deliver(&mut self, to: usize, frame: &Frame<NodeMessage>) {
+            if let Some((inbox, input)) = self.late.take() {
+                inbox.send(input).unwrap();
+            }
+            let mut wire = self.wire.lock().unwrap();
+            wire.pending.push((to, frame.to_message()));
+        }
+
+        fn flush(&mut self) {
+            let mut wire = self.wire.lock().unwrap();
+            if !wire.pending.is_empty() {
+                let sent = std::mem::take(&mut wire.pending);
+                wire.flushes.push(sent);
+            }
+        }
+    }
+
+    /// Sequence numbers of the preprepares among `deliveries` to `peer`.
+    fn preprepares_to(deliveries: &[(usize, NodeMessage)], peer: usize) -> Vec<u64> {
+        deliveries
+            .iter()
+            .filter(|(to, _)| *to == peer)
+            .filter_map(|(_, message)| match message {
+                NodeMessage::Consensus(signed) => match &signed.message {
+                    Message::PrePrepare(preprepare) => Some(preprepare.sn),
+                    _ => None,
+                },
+                NodeMessage::Layer(_) => None,
+            })
+            .collect()
+    }
+
+    /// Runs the primary's loop (node 0 of four) over `inbox` and `link`.
+    fn spawn_primary(
+        inbox: Receiver<LoopInput>,
+        link: RecordingLink,
+    ) -> std::thread::JoinHandle<NodeSummary> {
+        let (pairs, keystore) = Keystore::generate(4, 11);
+        let primary = ZugchainNode::new(
+            0,
+            NodeConfig::evaluation_default(),
+            Nsdb::jru_default(),
+            pairs[0].clone(),
+            keystore,
+        );
+        let (events, _events_rx) = unbounded();
+        std::thread::spawn(move || {
+            node_loop(
+                primary,
+                inbox,
+                link,
+                events,
+                None,
+                Telemetry::disabled(),
+                Instant::now(),
+            )
+        })
+    }
+
+    /// Waits until `wire` has seen a flush that sent something.
+    fn await_first_flush(wire: &Mutex<Wire>) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while wire.lock().unwrap().flushes.is_empty() {
+            assert!(Instant::now() < deadline, "the loop never flushed");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn a_queued_burst_leaves_in_one_flush_and_shutdown_flushes_the_rest() {
+        let (inbox_tx, inbox) = bounded(64);
+        for tag in 0..5u8 {
+            inbox_tx.send(LoopInput::RawPayload(vec![tag; 64])).unwrap();
+        }
+        let wire = Arc::new(Mutex::new(Wire::default()));
+        let link = RecordingLink {
+            wire: Arc::clone(&wire),
+            late: None,
+        };
+        let node = spawn_primary(inbox, link);
+
+        await_first_flush(&wire);
+        // One more proposal, then `Shutdown` right behind it: the loop
+        // exits from inside that burst.
+        inbox_tx.send(LoopInput::RawPayload(vec![5; 64])).unwrap();
+        inbox_tx.send(LoopInput::Shutdown).unwrap();
+        node.join().unwrap();
+
+        let wire = wire.lock().unwrap();
+        assert!(wire.pending.is_empty(), "frames left buffered at shutdown");
+        let later: Vec<(usize, NodeMessage)> = wire.flushes[1..].concat();
+        for peer in 1..4 {
+            assert_eq!(preprepares_to(&wire.flushes[0], peer), [1, 2, 3, 4, 5]);
+            assert_eq!(preprepares_to(&later, peer), [6]);
+        }
+    }
+
+    /// A burst is what was queued when the loop woke. A payload that
+    /// arrives while the burst is handled waits for the next burst, so
+    /// it cannot hold the burst's frames back.
+    #[test]
+    fn an_input_arriving_mid_burst_waits_for_the_next_flush() {
+        let (inbox_tx, inbox) = bounded(64);
+        for tag in 0..3u8 {
+            inbox_tx.send(LoopInput::RawPayload(vec![tag; 64])).unwrap();
+        }
+        let wire = Arc::new(Mutex::new(Wire::default()));
+        let link = RecordingLink {
+            wire: Arc::clone(&wire),
+            late: Some((inbox_tx.clone(), LoopInput::RawPayload(vec![3; 64]))),
+        };
+        let node = spawn_primary(inbox, link);
+
+        // The late payload was queued during the first burst, so it is
+        // ahead of `Shutdown` in the inbox.
+        await_first_flush(&wire);
+        inbox_tx.send(LoopInput::Shutdown).unwrap();
+        node.join().unwrap();
+
+        let wire = wire.lock().unwrap();
+        let later: Vec<(usize, NodeMessage)> = wire.flushes[1..].concat();
+        for peer in 1..4 {
+            assert_eq!(preprepares_to(&wire.flushes[0], peer), [1, 2, 3]);
+            assert_eq!(preprepares_to(&later, peer), [4]);
+        }
     }
 }

@@ -11,10 +11,16 @@
 //! as [`Frame`]s: a broadcast encodes (and signs) the message **once**
 //! and writes the same cached buffer to every peer socket, instead of
 //! re-encoding per recipient.
+//!
+//! Both directions are buffered. A node owns one buffered writer per
+//! peer: frames are appended in delivery order and leave when the loop
+//! flushes after each burst of inputs, so a burst costs one `write` per
+//! peer, not two per frame. Each inbound socket is read through a
+//! buffered reader, so a coalesced burst costs one `read` and one wake-up.
 
-use std::io::{self, Read as _, Write as _};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -60,25 +66,25 @@ fn frame_trace_ctx(message: &NodeMessage) -> TraceCtx {
 /// computed at most once and shared across every peer this frame is
 /// written to; traced frames additionally carry the 17-byte envelope
 /// (`magic ‖ TraceCtx`) in front of the unchanged inner bytes.
-fn write_frame(stream: &mut TcpStream, frame: &Frame<NodeMessage>) -> io::Result<()> {
+fn write_frame(out: &mut impl Write, frame: &Frame<NodeMessage>) -> io::Result<()> {
     let bytes = frame.bytes();
     let ctx = frame_trace_ctx(frame.message());
-    let payload: std::borrow::Cow<'_, [u8]> = if ctx.is_traced() {
-        std::borrow::Cow::Owned(zugchain_wire::encode_traced(ctx, &bytes))
+    let envelope = if ctx.is_traced() {
+        zugchain_wire::encode_traced(ctx, &[])
     } else {
-        std::borrow::Cow::Borrowed(&bytes)
+        Vec::new()
     };
-    let len = u32::try_from(payload.len())
+    let len = u32::try_from(envelope.len() + bytes.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    stream.write_all(&len.to_be_bytes())?;
-    stream.write_all(&payload)?;
-    Ok(())
+    out.write_all(&len.to_be_bytes())?;
+    out.write_all(&envelope)?;
+    out.write_all(&bytes)
 }
 
 /// Reads one length-prefixed frame; `Ok(None)` on clean EOF. Frames in
 /// the traced envelope yield their carried [`TraceCtx`]; legacy bare
 /// frames decode unchanged with [`TraceCtx::NONE`].
-fn read_frame(stream: &mut TcpStream) -> io::Result<Option<(TraceCtx, NodeMessage)>> {
+fn read_frame(stream: &mut impl Read) -> io::Result<Option<(TraceCtx, NodeMessage)>> {
     let mut len_buf = [0u8; 4];
     match stream.read_exact(&mut len_buf) {
         Ok(()) => {}
@@ -101,9 +107,11 @@ fn read_frame(stream: &mut TcpStream) -> io::Result<Option<(TraceCtx, NodeMessag
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
 
-/// The socket link: frames leave as length-prefixed canonical bytes.
+/// The socket link: frames leave as length-prefixed canonical bytes,
+/// buffered per peer until the loop flushes. Only the owning node thread
+/// writes to these sockets.
 struct TcpLink {
-    streams: Vec<Option<Mutex<TcpStream>>>,
+    streams: Vec<Option<BufWriter<TcpStream>>>,
 }
 
 impl PeerLink for TcpLink {
@@ -111,11 +119,16 @@ impl PeerLink for TcpLink {
         self.streams.len()
     }
 
+    // A failed peer write is a dead link, not a node error.
     fn deliver(&mut self, to: usize, frame: &Frame<NodeMessage>) {
-        if let Some(Some(stream)) = self.streams.get(to) {
-            let mut stream = stream.lock().expect("stream lock");
-            // A failed peer write is a dead link, not a node error.
-            let _ = write_frame(&mut stream, frame);
+        if let Some(Some(stream)) = self.streams.get_mut(to) {
+            let _ = write_frame(stream, frame);
+        }
+    }
+
+    fn flush(&mut self) {
+        for stream in self.streams.iter_mut().flatten() {
+            let _ = stream.flush();
         }
     }
 }
@@ -208,8 +221,9 @@ impl TcpCluster {
             let expected = n - 1;
             acceptors.push(std::thread::spawn(move || -> io::Result<()> {
                 for _ in 0..expected {
-                    let (mut stream, _) = listener.accept()?;
+                    let (stream, _) = listener.accept()?;
                     stream.set_nodelay(true)?;
+                    let mut stream = BufReader::new(stream);
                     let inbox = inbox.clone();
                     std::thread::spawn(move || loop {
                         match read_frame(&mut stream) {
@@ -228,7 +242,7 @@ impl TcpCluster {
             }));
         }
 
-        let mut outbound: Vec<Vec<Option<Mutex<TcpStream>>>> = Vec::with_capacity(n);
+        let mut outbound: Vec<Vec<Option<BufWriter<TcpStream>>>> = Vec::with_capacity(n);
         for id in 0..n {
             let mut streams = Vec::with_capacity(n);
             for (peer, address) in addresses.iter().enumerate() {
@@ -237,7 +251,7 @@ impl TcpCluster {
                 } else {
                     let stream = TcpStream::connect(address)?;
                     stream.set_nodelay(true)?;
-                    streams.push(Some(Mutex::new(stream)));
+                    streams.push(Some(BufWriter::new(stream)));
                 }
             }
             outbound.push(streams);
@@ -422,6 +436,18 @@ mod tests {
         }
     }
 
+    /// A signed request broadcast carrying `payload`, signed by the first
+    /// key of `seed`'s keyset.
+    fn request_message(payload: Vec<u8>, seed: u64) -> NodeMessage {
+        let (pairs, _) = Keystore::generate(1, seed);
+        NodeMessage::Layer(zugchain::LayerMessage::BroadcastRequest(
+            zugchain::SignedRequest::sign(
+                zugchain_pbft::ProposedRequest::application(payload, NodeId(0)),
+                &pairs[0],
+            ),
+        ))
+    }
+
     #[test]
     fn frame_codec_round_trips_and_rejects_oversize() {
         // Codec-level check without sockets: encode, then decode through
@@ -430,13 +456,7 @@ mod tests {
         let address = listener.local_addr().unwrap();
         let sender = std::thread::spawn(move || {
             let mut stream = TcpStream::connect(address).unwrap();
-            let (pairs, _) = Keystore::generate(1, 1);
-            let message = NodeMessage::Layer(zugchain::LayerMessage::BroadcastRequest(
-                zugchain::SignedRequest::sign(
-                    zugchain_pbft::ProposedRequest::application(vec![7; 64], NodeId(0)),
-                    &pairs[0],
-                ),
-            ));
+            let message = request_message(vec![7; 64], 1);
             write_frame(&mut stream, &Frame::new(message.clone())).unwrap();
             message
         });
@@ -451,6 +471,10 @@ mod tests {
         assert_eq!(ctx, frame_trace_ctx(&sent));
         // EOF is a clean None.
         assert!(read_frame(&mut conn).unwrap().is_none());
+        // A length prefix beyond the limit is refused before any read.
+        let oversized = (MAX_FRAME_BYTES + 1).to_be_bytes();
+        let error = read_frame(&mut &oversized[..]).unwrap_err();
+        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
     }
 
     /// Legacy bare frames (no traced envelope) must keep decoding: a
@@ -493,26 +517,17 @@ mod tests {
         let address = listener.local_addr().unwrap();
 
         let writer = std::thread::spawn(move || {
-            let (pairs, _) = Keystore::generate(1, 2);
-            let message = NodeMessage::Layer(zugchain::LayerMessage::BroadcastRequest(
-                zugchain::SignedRequest::sign(
-                    zugchain_pbft::ProposedRequest::application(vec![9; 256], NodeId(0)),
-                    &pairs[0],
-                ),
-            ));
-            let frame = Frame::new(message);
+            let frame = Frame::new(request_message(vec![9; 256], 2));
             assert_eq!(frame.encode_count(), 0, "lazily encoded");
             let mut link = TcpLink {
                 streams: (0..3)
-                    .map(|_| {
-                        let stream = TcpStream::connect(address).unwrap();
-                        Some(Mutex::new(stream))
-                    })
+                    .map(|_| Some(BufWriter::new(TcpStream::connect(address).unwrap())))
                     .collect(),
             };
             for peer in 0..3 {
                 link.deliver(peer, &frame);
             }
+            link.flush();
             frame.encode_count()
         });
 
@@ -525,5 +540,61 @@ mod tests {
         let encodes = writer.join().unwrap();
         assert_eq!(encodes, 1, "one broadcast, one encode, three writes");
         assert!(received.iter().all(|m| *m == received[0]));
+    }
+
+    /// The batching contract on real sockets: delivered frames stay in
+    /// the sender's buffer until `flush`, then every peer reads all of
+    /// its frames, in delivery order.
+    #[test]
+    fn delivered_frames_leave_on_flush_in_delivery_order() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let outbound: Vec<TcpStream> = (0..2)
+            .map(|_| TcpStream::connect(listener.local_addr().unwrap()).unwrap())
+            .collect();
+        // Pair each accepted socket with the peer index that dialled it.
+        let mut inbound: Vec<Option<TcpStream>> = vec![None, None];
+        for _ in 0..2 {
+            let (conn, from) = listener.accept().unwrap();
+            let peer = outbound
+                .iter()
+                .position(|s| s.local_addr().unwrap() == from)
+                .unwrap();
+            inbound[peer] = Some(conn);
+        }
+        let inbound: Vec<TcpStream> = inbound.into_iter().map(Option::unwrap).collect();
+
+        let mut link = TcpLink {
+            streams: outbound
+                .into_iter()
+                .map(|s| Some(BufWriter::new(s)))
+                .collect(),
+        };
+        let mut sent: Vec<Vec<NodeMessage>> = vec![Vec::new(), Vec::new()];
+        for (peer, count) in [(0usize, 5u8), (1, 2)] {
+            for tag in 0..count {
+                let message = request_message(vec![tag; 64], 4);
+                link.deliver(peer, &Frame::new(message.clone()));
+                sent[peer].push(message);
+            }
+        }
+
+        for conn in &inbound {
+            conn.set_nonblocking(true).unwrap();
+            let error = (&*conn).read(&mut [0u8; 1]).unwrap_err();
+            assert_eq!(
+                error.kind(),
+                io::ErrorKind::WouldBlock,
+                "nothing before flush"
+            );
+            conn.set_nonblocking(false).unwrap();
+        }
+        link.flush();
+        for (conn, expected) in inbound.into_iter().zip(sent) {
+            let mut reader = BufReader::new(conn);
+            for message in expected {
+                let (_ctx, received) = read_frame(&mut reader).unwrap().expect("a frame");
+                assert_eq!(received, message);
+            }
+        }
     }
 }

@@ -7,9 +7,12 @@
 //!
 //! Results are printed as `name  time: [.. ns/iter]` (plus derived
 //! throughput when configured), followed by a machine-readable
-//! `bench-result: <name> ns_per_iter=N [elem_per_s=R|bytes_per_s=R]`
-//! line for scripts (the CI regression gates parse that one); there is
-//! no statistical analysis, HTML report, or baseline comparison.
+//! `bench-result: <name> ns_per_iter=N median_ns=M mad_ns=D
+//! [elem_per_s=R|bytes_per_s=R]` line for scripts (the CI regression
+//! gates parse that one). `ns_per_iter` and the rates come from the
+//! fastest sample; `median_ns` and `mad_ns` (median absolute deviation)
+//! give the spread of all samples. There is no HTML report or baseline
+//! comparison.
 
 #![warn(missing_docs)]
 
@@ -190,18 +193,23 @@ fn run_benchmark(
         iters = iters.saturating_mul(4);
     };
 
-    // Measurement: `sample_size` samples at the calibrated count; report
-    // the minimum (least-noise) sample.
-    let mut best = per_iter;
+    // Measurement: `sample_size` more samples at the calibrated count
+    // (the last calibration pass is the first sample); rates use the
+    // minimum (least-noise) sample.
+    let mut samples = vec![per_iter];
     for _ in 0..sample_size.min(20) {
         let mut bencher = Bencher {
             iters,
             elapsed: Duration::ZERO,
         };
         f(&mut bencher);
-        let sample = bencher.elapsed.as_nanos() as u64 / iters.max(1);
-        best = best.min(sample);
+        samples.push(bencher.elapsed.as_nanos() as u64 / iters.max(1));
     }
+    let Spread {
+        min: best,
+        median,
+        mad,
+    } = Spread::of(&samples);
 
     let (rate, machine_rate) = match throughput {
         Some(Throughput::Bytes(bytes)) if best > 0 => {
@@ -221,11 +229,44 @@ fn run_benchmark(
         }
         _ => (String::new(), String::new()),
     };
-    println!("{name:<50} time: {best} ns/iter{rate}");
+    println!("{name:<50} time: {best} ns/iter (median {median} ± {mad}){rate}");
     // A second, machine-readable line with a fixed `key=value` layout:
     // scripts (CI regression gates, figure generators) parse this one,
     // so the human-readable formatting above can change freely.
-    println!("bench-result: {name} ns_per_iter={best}{machine_rate}");
+    println!(
+        "bench-result: {name} ns_per_iter={best} median_ns={median} mad_ns={mad}{machine_rate}"
+    );
+}
+
+/// The minimum, median and median absolute deviation of per-iteration
+/// samples, in ns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Spread {
+    min: u64,
+    median: u64,
+    mad: u64,
+}
+
+impl Spread {
+    fn of(samples: &[u64]) -> Self {
+        let center = median(samples.to_vec());
+        Self {
+            min: samples.iter().copied().min().unwrap_or(0),
+            median: center,
+            mad: median(samples.iter().map(|s| s.abs_diff(center)).collect()),
+        }
+    }
+}
+
+/// The middle value; the mean of the two middle values for an even count.
+fn median(mut values: Vec<u64>) -> u64 {
+    values.sort_unstable();
+    let mid = values.len() / 2;
+    match values.len() {
+        0 => 0,
+        n if n % 2 == 1 => values[mid],
+        _ => (values[mid - 1] + values[mid]) / 2,
+    }
 }
 
 /// Declares a benchmark group function calling each target in order.
@@ -264,5 +305,36 @@ mod tests {
             b.iter_batched(|| vec![0u8; *n], |v| v.len(), BatchSize::SmallInput)
         });
         group.finish();
+    }
+
+    #[test]
+    fn spread_reports_min_median_and_mad() {
+        // Sorted: 10 11 12 13 40 → median 12; deviations 2 1 0 1 28 →
+        // sorted 0 1 1 2 28 → MAD 1. The outlier moves neither.
+        assert_eq!(
+            Spread::of(&[13, 40, 10, 12, 11]),
+            Spread {
+                min: 10,
+                median: 12,
+                mad: 1
+            }
+        );
+        // Even count: the two middle values are averaged.
+        assert_eq!(
+            Spread::of(&[8, 2, 6, 4]),
+            Spread {
+                min: 2,
+                median: 5,
+                mad: 2
+            }
+        );
+        assert_eq!(
+            Spread::of(&[7]),
+            Spread {
+                min: 7,
+                median: 7,
+                mad: 0
+            }
+        );
     }
 }

@@ -294,7 +294,7 @@ fn mixed_mode_group_orders_identically() {
             for effect in replica.drain_effects() {
                 match effect {
                     Effect::Broadcast { message } => traffic.push(message),
-                    Effect::Output(ReplicaEvent::Decide { sn, request }) => {
+                    Effect::Output(ReplicaEvent::Decide { sn, request, .. }) => {
                         logs[node].push((sn, request.payload_digest()));
                     }
                     _ => {}
