@@ -5,26 +5,18 @@
 //! with the batch size while the per-request decide semantics stay
 //! identical to the unbatched protocol.
 //!
-//! Measured in both authentication modes: `Sig` (every message carries a
-//! signature, the original protocol) and `MacWithSigFallback` (pairwise
-//! session MACs on the common path, deferred quorum-time signature
-//! validation for the votes that feed view-change certificates).
-//!
 //! Set `ZUGCHAIN_BENCH_QUICK=1` for the CI smoke variant (shorter stream,
 //! fewer samples).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use zugchain_crypto::Keystore;
 use zugchain_machine::Effect;
-use zugchain_pbft::{AuthMode, Config, NodeId, ProposedRequest, Replica, ReplicaEvent};
+use zugchain_pbft::{Config, NodeId, ProposedRequest, Replica, ReplicaEvent};
 
 const N: usize = 4;
 
-fn fresh_group(batch_size: usize, auth_mode: AuthMode) -> Vec<Replica> {
-    let config = Config::new(N)
-        .unwrap()
-        .with_max_batch_size(batch_size)
-        .with_auth_mode(auth_mode);
+fn fresh_group(batch_size: usize) -> Vec<Replica> {
+    let config = Config::new(N).unwrap().with_max_batch_size(batch_size);
     let (pairs, keystore) = Keystore::generate(N, 7);
     pairs
         .into_iter()
@@ -66,16 +58,16 @@ fn order_stream(replicas: &mut [Replica], requests: usize) -> usize {
     decided
 }
 
-fn run_auth_mode(c: &mut Criterion, group_name: &str, auth_mode: AuthMode) {
+fn bench_batch_sizes(c: &mut Criterion) {
     let quick = std::env::var_os("ZUGCHAIN_BENCH_QUICK").is_some();
     let requests = if quick { 64usize } else { 256 };
-    let mut group = c.benchmark_group(group_name);
+    let mut group = c.benchmark_group("pbft/batch_throughput");
     group.sample_size(if quick { 5 } else { 20 });
     for batch in [1usize, 4, 16, 64] {
         group.throughput(Throughput::Elements(requests as u64));
         group.bench_with_input(BenchmarkId::from_parameter(batch), &batch, |b, &batch| {
             b.iter_batched(
-                || fresh_group(batch, auth_mode),
+                || fresh_group(batch),
                 |mut replicas| {
                     let decided = order_stream(&mut replicas, requests);
                     assert_eq!(decided, N * requests);
@@ -86,11 +78,6 @@ fn run_auth_mode(c: &mut Criterion, group_name: &str, auth_mode: AuthMode) {
         });
     }
     group.finish();
-}
-
-fn bench_batch_sizes(c: &mut Criterion) {
-    run_auth_mode(c, "pbft/batch_throughput", AuthMode::Sig);
-    run_auth_mode(c, "pbft/batch_throughput_mac", AuthMode::MacWithSigFallback);
 }
 
 criterion_group!(benches, bench_batch_sizes);

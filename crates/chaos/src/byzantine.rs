@@ -8,12 +8,11 @@
 
 use zugchain::{NodeEffect, NodeMessage, NodeStats, TimerId, TrainNode, ZugchainNode};
 use zugchain_blockchain::ChainStore;
-use zugchain_crypto::{KeyPair, SessionKeys};
+use zugchain_crypto::KeyPair;
 use zugchain_machine::Effect;
 use zugchain_mvb::Telegram;
 use zugchain_pbft::{
-    Auth, CheckpointProof, Message, NodeId, PrePrepare, ProposedBatch, ProposedRequest,
-    SignedMessage,
+    CheckpointProof, Message, NodeId, PrePrepare, ProposedBatch, ProposedRequest, SignedMessage,
 };
 
 use crate::plan::ByzBehavior;
@@ -129,24 +128,6 @@ impl ByzNode {
             batch: ProposedBatch::new(requests),
         }
     }
-
-    /// Re-tags `signed` with session MACs derived from the wrong master
-    /// secret and strips the signature — a forgery every honest receiver
-    /// must reject, whatever its own auth mode.
-    fn forge_mac(&self, signed: SignedMessage) -> SignedMessage {
-        let me = self.inner.id();
-        let wrong = SessionKeys::from_master(&[0xEE; 32], me.0, 0..self.n_nodes as u64);
-        let bytes = signed.message.auth_bytes();
-        let tags = wrong
-            .peers()
-            .filter_map(|peer| wrong.tag_for(peer, &bytes).map(|tag| (NodeId(peer), tag)))
-            .collect();
-        SignedMessage {
-            from: signed.from,
-            message: signed.message,
-            auth: Auth::Mac { tags, sig: None },
-        }
-    }
 }
 
 impl TrainNode for ByzNode {
@@ -182,27 +163,6 @@ impl TrainNode for ByzNode {
                 .into_iter()
                 .filter(|e| !matches!(e, Effect::Send { .. } | Effect::Broadcast { .. }))
                 .collect(),
-            Some(ByzBehavior::ForgeMac) => {
-                let me = self.inner.id();
-                effects
-                    .into_iter()
-                    .map(|effect| match effect {
-                        Effect::Broadcast {
-                            message: NodeMessage::Consensus(signed),
-                        } if signed.from == me => Effect::Broadcast {
-                            message: NodeMessage::Consensus(self.forge_mac(signed)),
-                        },
-                        Effect::Send {
-                            to,
-                            message: NodeMessage::Consensus(signed),
-                        } if signed.from == me => Effect::Send {
-                            to,
-                            message: NodeMessage::Consensus(self.forge_mac(signed)),
-                        },
-                        other => other,
-                    })
-                    .collect()
-            }
             Some(
                 behavior @ (ByzBehavior::EquivocatePreprepares | ByzBehavior::EquivocateBatch),
             ) => {

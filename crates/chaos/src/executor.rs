@@ -587,8 +587,7 @@ impl Chaos {
             pbft: Config::new(n)
                 .expect("plan sizes are valid")
                 .with_max_batch_size(plan.max_batch_size)
-                .with_batch_delay(plan.batch_delay_ms)
-                .with_auth_mode(plan.auth_mode),
+                .with_batch_delay(plan.batch_delay_ms),
             block_size: plan.block_size,
             soft_timeout_ms: 100,
             hard_timeout_ms: 100,

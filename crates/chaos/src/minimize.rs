@@ -10,7 +10,6 @@
 
 use crate::executor::{execute, ViolationKind};
 use crate::plan::{ChaosPlan, NetPlan};
-use zugchain_pbft::AuthMode;
 
 /// Minimizes `plan` while preserving a violation of `kind`, running at
 /// most `max_runs` candidate executions. Returns the smallest
@@ -92,15 +91,6 @@ pub fn minimize(plan: &ChaosPlan, kind: ViolationKind, max_runs: usize) -> Chaos
             }
         }
 
-        // Is the MAC fast path relevant? Try plain signatures.
-        if best.auth_mode != AuthMode::Sig {
-            let mut trial = best.clone();
-            trial.auth_mode = AuthMode::Sig;
-            if budget.reproduces(&trial, kind) {
-                best.auth_mode = AuthMode::Sig;
-            }
-        }
-
         // Simplify surviving crashes: no disk damage, or no restart gap.
         for i in 0..best.crashes.len() {
             if best.crashes[i].truncate_blocks > 0 || best.crashes[i].drop_proofs {
@@ -146,7 +136,6 @@ fn size_of(plan: &ChaosPlan) -> usize {
         + usize::from(plan.prepare_loss.is_some())
         + usize::from(plan.max_batch_size > 1)
         + usize::from(plan.net != NetPlan::RELIABLE)
-        + usize::from(plan.auth_mode != AuthMode::Sig)
 }
 
 /// ddmin-style chunked removal: tries dropping ever-smaller chunks while

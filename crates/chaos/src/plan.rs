@@ -11,7 +11,6 @@
 
 use rand::{rngs::StdRng, RngExt as _, SeedableRng as _};
 use std::collections::BTreeSet;
-use zugchain_pbft::AuthMode;
 
 /// How a Byzantine node misbehaves for the whole run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,12 +30,6 @@ pub enum ByzBehavior {
     /// same length differing in exactly one request for the same
     /// `(view, sn)` slot.
     EquivocateBatch,
-    /// Re-tags every outbound consensus message with session MACs forged
-    /// under the wrong master secret (and strips the signature). Honest
-    /// receivers must reject every such message, so to its peers the
-    /// node degenerates into a silent one — the safety invariants must
-    /// hold and the untouched majority must keep deciding.
-    ForgeMac,
 }
 
 impl ByzBehavior {
@@ -184,11 +177,6 @@ pub struct ChaosPlan {
     pub exports: Vec<ExportPlan>,
     /// Network fault model.
     pub net: NetPlan,
-    /// How every replica authenticates its ordering traffic. Drawn from
-    /// a dedicated RNG stream so the documented seed bank's schedules
-    /// (ops, faults, exports) are identical in both modes — the decided
-    /// logs must be too.
-    pub auth_mode: AuthMode,
     /// If `true`, the `mutation-hooks` equivocation bug is armed on the
     /// initial primary (node 0). Used to prove the harness catches a
     /// deliberately injected consensus bug; never set by [`generate`].
@@ -347,27 +335,6 @@ impl ChaosPlan {
             },
         };
 
-        // The authentication axis comes from its own RNG stream: every
-        // draw above stays byte-identical whichever mode a seed lands
-        // on, so the seed bank exercises the exact same schedules under
-        // signatures and under MACs.
-        let mut auth_rng = StdRng::seed_from_u64(seed ^ 0x4D41_435F_4155_5448); // "MAC_AUTH"
-        let auth_mode = if auth_rng.random_bool(0.5) {
-            AuthMode::MacWithSigFallback
-        } else {
-            AuthMode::Sig
-        };
-        // A Byzantine node sometimes forges its session tags instead of
-        // its scheduled misbehaviour. Honest receivers reject the bad
-        // tags whichever auth mode they run, so the flip is dealt
-        // independently of the mode draw — and after the export
-        // schedule, so it perturbs nothing.
-        for byz in &mut byzantine {
-            if auth_rng.random_bool(0.33) {
-                byz.behavior = ByzBehavior::ForgeMac;
-            }
-        }
-
         ChaosPlan {
             seed,
             n_nodes,
@@ -381,7 +348,6 @@ impl ChaosPlan {
             byzantine,
             exports,
             net,
-            auth_mode,
             mutation: false,
         }
     }
@@ -395,14 +361,6 @@ impl ChaosPlan {
     #[must_use]
     pub fn with_mutation(mut self) -> Self {
         self.mutation = true;
-        self
-    }
-
-    /// Pins the authentication mode (sweep harnesses compare both modes
-    /// over the same seed rather than sampling it).
-    #[must_use]
-    pub fn with_auth_mode(mut self, auth_mode: AuthMode) -> Self {
-        self.auth_mode = auth_mode;
         self
     }
 

@@ -15,7 +15,6 @@ use crate::plan::{
     ByzBehavior, ByzPlan, ChaosPlan, CrashPlan, ExportPlan, NetPlan, OpPlan, PartitionPlan,
     PrepareLossPlan,
 };
-use zugchain_pbft::AuthMode;
 
 /// Current repro file format version.
 pub const REPRO_VERSION: u64 = 1;
@@ -30,7 +29,6 @@ fn behavior_str(b: ByzBehavior) -> &'static str {
         ByzBehavior::EquivocatePreprepares => "equivocate-preprepares",
         ByzBehavior::FabricateBus => "fabricate-bus",
         ByzBehavior::EquivocateBatch => "equivocate-batch",
-        ByzBehavior::ForgeMac => "forge-mac",
     }
 }
 
@@ -40,32 +38,26 @@ fn removed_collector(what: &str) -> String {
     format!("{what} needs the removed `collector` comm mode; all-to-all is the only vote path")
 }
 
+/// The error for a repro file written while the removed MAC
+/// authenticator mode existed and that depends on it.
+fn removed_mac(what: &str) -> String {
+    format!(
+        "{what} needs the removed `mac-with-sig-fallback` auth mode; \
+         every message carries one signature"
+    )
+}
+
 fn parse_behavior(s: &str) -> Result<ByzBehavior, String> {
     Ok(match s {
         "silent" => ByzBehavior::Silent,
         "equivocate-preprepares" => ByzBehavior::EquivocatePreprepares,
         "fabricate-bus" => ByzBehavior::FabricateBus,
         "equivocate-batch" => ByzBehavior::EquivocateBatch,
-        "forge-mac" => ByzBehavior::ForgeMac,
         "forge-cert" | "collector-silent" => {
             return Err(removed_collector(&format!("behavior `{s}`")))
         }
+        "forge-mac" => return Err(removed_mac(&format!("behavior `{s}`"))),
         _ => return Err(format!("unknown behavior `{s}`")),
-    })
-}
-
-fn auth_mode_str(mode: AuthMode) -> &'static str {
-    match mode {
-        AuthMode::Sig => "sig",
-        AuthMode::MacWithSigFallback => "mac-with-sig-fallback",
-    }
-}
-
-fn parse_auth_mode(s: &str) -> Option<AuthMode> {
-    Some(match s {
-        "sig" => AuthMode::Sig,
-        "mac-with-sig-fallback" => AuthMode::MacWithSigFallback,
-        _ => return None,
     })
 }
 
@@ -81,11 +73,6 @@ pub fn write_repro(plan: &ChaosPlan, kind: ViolationKind) -> String {
     let _ = writeln!(out, "        block_size: {},", plan.block_size);
     let _ = writeln!(out, "        max_batch_size: {},", plan.max_batch_size);
     let _ = writeln!(out, "        batch_delay_ms: {},", plan.batch_delay_ms);
-    let _ = writeln!(
-        out,
-        "        auth_mode: \"{}\",",
-        auth_mode_str(plan.auth_mode)
-    );
     let _ = writeln!(out, "        mutation: {},", plan.mutation);
     let _ = writeln!(out, "        ops: [");
     for op in &plan.ops {
@@ -477,15 +464,17 @@ fn plan_from_value(value: &Value) -> Result<ChaosPlan, String> {
         })
         .collect::<Result<Vec<_>, String>>()?;
     let net = value.field("net")?;
-    // Absent in pre-fast-path repro files, which were all
-    // signature-authenticated — same format version, optional field.
-    let auth_mode = match value.field("auth_mode") {
-        Ok(v) => {
-            let s = v.as_str("auth_mode")?;
-            parse_auth_mode(s).ok_or_else(|| format!("unknown auth mode `{s}`"))?
+    // Files written while the MAC authenticator existed name the auth
+    // mode; only the signature mode they share with today replays.
+    if let Ok(v) = value.field("auth_mode") {
+        match v.as_str("auth_mode")? {
+            "sig" => {}
+            "mac-with-sig-fallback" => {
+                return Err(removed_mac("auth mode `mac-with-sig-fallback`"))
+            }
+            s => return Err(format!("unknown auth mode `{s}`")),
         }
-        Err(_) => AuthMode::Sig,
-    };
+    }
     // Files written while the collector vote path existed name the comm
     // mode; only the all-to-all exchange they share with today replays.
     if let Ok(v) = value.field("comm_mode") {
@@ -520,7 +509,6 @@ fn plan_from_value(value: &Value) -> Result<ChaosPlan, String> {
                 .field("duplicate_probability")?
                 .as_f64("duplicate_probability")?,
         },
-        auth_mode,
         mutation: value.field("mutation")?.as_bool("mutation")?,
     })
 }
@@ -587,19 +575,16 @@ mod tests {
         assert!(parse_repro("ChaosRepro(version: 1,)").is_err());
     }
 
-    /// A repro file as written while the collector vote path existed:
-    /// the plan's lines plus a `comm_mode` field after `auth_mode`.
-    fn with_comm_mode(plan: &ChaosPlan, comm_mode: &str) -> String {
+    /// A repro file as an older writer produced it: the plan's lines
+    /// plus `field: "value"`, a field today's writer no longer emits.
+    fn with_removed_field(plan: &ChaosPlan, field: &str, value: &str) -> String {
         let text = write_repro(plan, ViolationKind::BlockFork);
-        let auth_line = text
+        let anchor = text
             .lines()
-            .find(|line| line.trim_start().starts_with("auth_mode:"))
-            .expect("repro files carry the auth mode")
+            .find(|line| line.trim_start().starts_with("batch_delay_ms:"))
+            .expect("repro files carry the batch delay")
             .to_string();
-        text.replace(
-            &auth_line,
-            &format!("{auth_line}\n        comm_mode: \"{comm_mode}\","),
-        )
+        text.replace(&anchor, &format!("{anchor}\n        {field}: \"{value}\","))
     }
 
     #[test]
@@ -611,15 +596,15 @@ mod tests {
     #[test]
     fn all_to_all_repro_files_still_parse() {
         let plan = ChaosPlan::generate(1);
-        let (parsed, _) =
-            parse_repro(&with_comm_mode(&plan, "all-to-all")).expect("all-to-all replays");
+        let (parsed, _) = parse_repro(&with_removed_field(&plan, "comm_mode", "all-to-all"))
+            .expect("all-to-all replays");
         assert_eq!(parsed, plan);
     }
 
     #[test]
     fn collector_repro_files_are_rejected_by_name() {
-        let err = parse_repro(&with_comm_mode(&ChaosPlan::generate(1), "collector"))
-            .expect_err("collector mode is gone");
+        let old = with_removed_field(&ChaosPlan::generate(1), "comm_mode", "collector");
+        let err = parse_repro(&old).expect_err("collector mode is gone");
         assert!(err.contains("removed `collector` comm mode"), "{err}");
         assert!(err.contains("comm mode `collector`"), "{err}");
 
@@ -635,5 +620,46 @@ mod tests {
             assert!(err.contains(&format!("behavior `{behavior}`")), "{err}");
             assert!(err.contains("removed `collector` comm mode"), "{err}");
         }
+    }
+
+    #[test]
+    fn sig_repro_files_still_parse() {
+        let plan = ChaosPlan::generate(1);
+        let text = write_repro(&plan, ViolationKind::BlockFork);
+        assert!(!text.contains("auth_mode"), "{text}");
+        let (parsed, _) = parse_repro(&text).expect("no auth mode replays");
+        assert_eq!(parsed, plan);
+        let (parsed, _) =
+            parse_repro(&with_removed_field(&plan, "auth_mode", "sig")).expect("sig mode replays");
+        assert_eq!(parsed, plan);
+    }
+
+    #[test]
+    fn mac_repro_files_are_rejected_by_name() {
+        let old = with_removed_field(
+            &ChaosPlan::generate(1),
+            "auth_mode",
+            "mac-with-sig-fallback",
+        );
+        let err = parse_repro(&old).expect_err("MAC mode is gone");
+        assert!(err.contains("auth mode `mac-with-sig-fallback`"), "{err}");
+        assert!(
+            err.contains("removed `mac-with-sig-fallback` auth mode"),
+            "{err}"
+        );
+
+        let mut plan = ChaosPlan::generate(1);
+        plan.byzantine = vec![ByzPlan {
+            node: 1,
+            behavior: ByzBehavior::Silent,
+        }];
+        let text = write_repro(&plan, ViolationKind::BlockFork);
+        let old = text.replace("\"silent\"", "\"forge-mac\"");
+        let err = parse_repro(&old).expect_err("MAC forging is gone");
+        assert!(err.contains("behavior `forge-mac`"), "{err}");
+        assert!(
+            err.contains("removed `mac-with-sig-fallback` auth mode"),
+            "{err}"
+        );
     }
 }

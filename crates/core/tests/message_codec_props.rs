@@ -6,19 +6,20 @@
 //! message), and trailing garbage after a valid encoding must be
 //! rejected (framing bugs cannot smuggle extra bytes past the decoder).
 //! The retired vote-certificate tags 6 and 7 must not decode at all.
-//!
-//! The MAC-authenticated envelope ([`Auth::Mac`]) gets the same codec
-//! treatment plus its authentication properties: at arbitrary key
-//! pairs, a forged tag (computed under a different master secret) and a
-//! tampered tag byte must both fail verification.
+//! A signed envelope is exactly `from ‖ message ‖ 0x00 ‖ signature`,
+//! and any other authentication tag byte fails to decode. That includes
+//! the MAC-tagged envelope (tag `1`) of the removed session-key
+//! authenticator: it is refused at its tag byte whatever its tags, so a
+//! MAC forged from the public keystore never reaches a replica, while a
+//! signed envelope tampered with after signing fails verification.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use zugchain::{LayerMessage, NodeMessage, SignedRequest};
-use zugchain_crypto::{Digest, KeyPair, Keystore, SessionKeys};
+use zugchain_crypto::{Digest, KeyPair, Keystore, Signature};
 use zugchain_pbft::{
-    Auth, AuthVerdict, Checkpoint, CheckpointProof, Message, NewView, NodeId, PrePrepare, Prepare,
-    PreparedCert, ProposedBatch, ProposedRequest, SignedMessage, ViewChange,
+    Checkpoint, CheckpointProof, Message, NewView, NodeId, PrePrepare, Prepare, PreparedCert,
+    ProposedBatch, ProposedRequest, SignedMessage, ViewChange,
 };
 use zugchain_wire::{from_bytes, to_bytes, Decode, Encode, WireError, Writer};
 
@@ -130,6 +131,35 @@ fn pbft_messages(
     ]
 }
 
+/// The envelope the removed session-key authenticator wrote:
+/// `from ‖ message ‖ 0x01 ‖ count ‖ (peer ‖ tag)* ‖ Option<signature>`,
+/// one 32-byte tag from `tag_bytes` for each other replica of four.
+fn mac_envelope(
+    from: NodeId,
+    message: &Message,
+    tag_bytes: &[u8],
+    fallback: Option<Signature>,
+) -> Vec<u8> {
+    let mut w = Writer::new();
+    from.encode(&mut w);
+    message.encode(&mut w);
+    w.write_u8(1);
+    w.write_varint(3);
+    let peers = (0..4u64).filter(|peer| *peer != from.0);
+    for (peer, tag) in peers.zip(tag_bytes.chunks(32)) {
+        NodeId(peer).encode(&mut w);
+        w.write_raw(tag);
+    }
+    fallback.encode(&mut w);
+    w.into_bytes()
+}
+
+/// The error every MAC-tagged envelope decodes to.
+const MAC_TAG_REFUSED: WireError = WireError::InvalidDiscriminant {
+    type_name: "SignedMessage",
+    value: 1,
+};
+
 /// Every [`NodeMessage`] variant: each PBFT message wrapped as
 /// consensus traffic, plus all three layer-message kinds.
 fn node_messages(
@@ -168,10 +198,32 @@ proptest! {
         payload in proptest::collection::vec(any::<u8>(), 0..48),
         time_ms in any::<u64>(),
         garbage in proptest::collection::vec(any::<u8>(), 1..8),
+        bad_tag in 1u8..=255,
     ) {
         let (keys, _) = Keystore::generate(4, 0xC0DEC);
         for message in pbft_messages(view, sn, &payload, time_ms, &keys) {
             check_codec(&message, &garbage)?;
+            // The envelope is the sender, the message, a zero tag byte
+            // and the signature, nothing else.
+            let signed = SignedMessage::sign(NodeId(1), message.clone(), &keys[1]);
+            check_codec(&signed, &garbage)?;
+            let mut expected = to_bytes(&NodeId(1));
+            expected.extend_from_slice(&to_bytes(&message));
+            let tag_at = expected.len();
+            expected.push(0);
+            expected.extend_from_slice(&to_bytes(&signed.signature()));
+            let mut retagged = to_bytes(&signed);
+            prop_assert_eq!(&retagged, &expected);
+            // Any other tag byte names an authentication form that does
+            // not exist.
+            retagged[tag_at] = bad_tag;
+            prop_assert_eq!(
+                from_bytes::<SignedMessage>(&retagged),
+                Err(WireError::InvalidDiscriminant {
+                    type_name: "SignedMessage",
+                    value: u64::from(bad_tag),
+                })
+            );
         }
         // Tags 6 and 7 carried the removed vote certificates: a
         // well-formed former body behind either tag is an unknown kind.
@@ -206,90 +258,89 @@ proptest! {
     }
 
     #[test]
-    /// MAC-tagged envelopes — with and without the embedded signature
-    /// fallback — roundtrip exactly and reject every strict prefix and
-    /// any trailing garbage, over every PBFT message kind.
+    /// The MAC-tagged envelope, with and without the embedded fallback
+    /// signature, is refused exactly at its tag byte over every PBFT
+    /// message kind: whole, padded with garbage, or cut anywhere past the
+    /// tag, it fails with the same error. Its sender and message bytes
+    /// followed by a zero tag and the sender's signature are exactly the
+    /// signed envelope.
     fn mac_envelope_codec_is_exact(
         view in 0u64..1000,
         sn in 0u64..100_000,
         payload in proptest::collection::vec(any::<u8>(), 0..48),
         time_ms in any::<u64>(),
         garbage in proptest::collection::vec(any::<u8>(), 1..8),
+        tag_bytes in proptest::collection::vec(any::<u8>(), 96..97),
     ) {
-        let (keys, keystore) = Keystore::generate(4, 0xC0DEC);
-        let session = SessionKeys::derive(&keystore, 0);
+        let (keys, _) = Keystore::generate(4, 0xC0DEC);
         for message in pbft_messages(view, sn, &payload, time_ms, &keys) {
-            let tagged = SignedMessage::sign_mac(NodeId(0), message.clone(), &session, None);
-            check_codec(&tagged, &garbage)?;
-            let with_fallback =
-                SignedMessage::sign_mac(NodeId(0), message, &session, Some(&keys[0]));
-            check_codec(&with_fallback, &garbage)?;
+            let signed = SignedMessage::sign(NodeId(0), message.clone(), &keys[0]);
+            let tag_at = to_bytes(&NodeId(0)).len() + to_bytes(&message).len();
+            for fallback in [None, Some(signed.signature())] {
+                let frame = mac_envelope(NodeId(0), &message, &tag_bytes, fallback);
+                prop_assert_eq!(frame[tag_at], 1);
+                for cut in tag_at + 1..=frame.len() {
+                    prop_assert_eq!(
+                        from_bytes::<SignedMessage>(&frame[..cut]),
+                        Err(MAC_TAG_REFUSED)
+                    );
+                }
+                let mut padded = frame.clone();
+                padded.extend_from_slice(&garbage);
+                prop_assert_eq!(from_bytes::<SignedMessage>(&padded), Err(MAC_TAG_REFUSED));
+
+                let mut resigned = frame[..tag_at].to_vec();
+                resigned.push(0);
+                resigned.extend_from_slice(&to_bytes(&signed.signature()));
+                prop_assert_eq!(&resigned, &to_bytes(&signed));
+            }
         }
     }
 
     #[test]
-    /// At arbitrary key pairs: a genuine MAC envelope verifies on the
-    /// fast path; one forged under a different master secret is
-    /// rejected outright (no fallback signature) or demoted to the
-    /// signature fallback (valid embedded signature); and flipping any
-    /// single byte of the receiver's tag kills the fast path.
+    /// At arbitrary keysets and senders: a MAC-tagged envelope is
+    /// refused before any key is consulted, whatever its tags (which
+    /// covers every tag the public keystore lets anyone compute) and
+    /// whether or not it embeds the sender's valid signature. The
+    /// signed envelope of the same message verifies; flipping any one
+    /// bit of its signature on the wire, changing its sn after signing
+    /// or rewriting its sender makes verification fail.
     fn forged_and_tampered_macs_are_rejected(
         keyset_seed in any::<u64>(),
-        forged_seed in any::<u64>(),
+        sender in 0u64..4,
         sn in 0u64..100_000,
         payload in proptest::collection::vec(any::<u8>(), 1..48),
-        flip_byte in 0usize..32,
+        tag_bytes in proptest::collection::vec(any::<u8>(), 96..97),
+        flip_byte in 0usize..64,
+        flip_bit in 0u8..8,
     ) {
-        prop_assume!(keyset_seed != forged_seed);
         let (keys, keystore) = Keystore::generate(4, keyset_seed);
-        let sender = SessionKeys::derive(&keystore, 1);
-        let receiver = SessionKeys::derive(&keystore, 2);
-        let message = Message::Commit(zugchain_pbft::Commit {
-            view: 0,
-            sn,
-            digest: Digest::of(&payload),
-        });
+        let digest = Digest::of(&payload);
+        let message = Message::Commit(zugchain_pbft::Commit { view: 0, sn, digest });
+        let genuine = SignedMessage::sign(NodeId(sender), message.clone(), &keys[sender as usize]);
+        prop_assert!(genuine.verify(&keystore));
 
-        // Genuine envelope: fast path.
-        let genuine = SignedMessage::sign_mac(NodeId(1), message.clone(), &sender, None);
-        prop_assert_eq!(
-            genuine.verify_auth(&keystore, &receiver),
-            AuthVerdict::MacValid
-        );
-
-        // Forged under a different permissioned keyset: the pairwise
-        // keys differ, so every tag fails. Without a fallback signature
-        // the envelope is dead; with a *valid* embedded signature it
-        // survives, but only via the (counted) signature fallback.
-        let (_, forged_keystore) = Keystore::generate(4, forged_seed);
-        let forger = SessionKeys::derive(&forged_keystore, 1);
-        let forged = SignedMessage::sign_mac(NodeId(1), message.clone(), &forger, None);
-        prop_assert_eq!(
-            forged.verify_auth(&keystore, &receiver),
-            AuthVerdict::Invalid
-        );
-        let forged_with_sig =
-            SignedMessage::sign_mac(NodeId(1), message.clone(), &forger, Some(&keys[1]));
-        prop_assert_eq!(
-            forged_with_sig.verify_auth(&keystore, &receiver),
-            AuthVerdict::SigFallback
-        );
-
-        // Tamper with the receiver's tag: any single flipped byte must
-        // break it.
-        let mut tampered = genuine;
-        if let Auth::Mac { ref mut tags, .. } = tampered.auth {
-            for (peer, tag) in tags.iter_mut() {
-                if peer.0 == 2 {
-                    let mut bytes = *tag.as_bytes();
-                    bytes[flip_byte] ^= 0x01;
-                    *tag = zugchain_crypto::MacTag::from_bytes(bytes);
-                }
-            }
+        for fallback in [None, Some(genuine.signature())] {
+            let forged = mac_envelope(NodeId(sender), &message, &tag_bytes, fallback);
+            prop_assert_eq!(from_bytes::<SignedMessage>(&forged), Err(MAC_TAG_REFUSED));
         }
-        prop_assert_eq!(
-            tampered.verify_auth(&keystore, &receiver),
-            AuthVerdict::Invalid
-        );
+
+        let mut bytes = to_bytes(&genuine);
+        let signature_at = bytes.len() - 64;
+        bytes[signature_at + flip_byte] ^= 1 << flip_bit;
+        let flipped = match from_bytes::<SignedMessage>(&bytes) {
+            Ok(flipped) => flipped,
+            Err(e) => return Err(TestCaseError::fail(format!("decode failed: {e:?}"))),
+        };
+        prop_assert_eq!(&flipped.message, &genuine.message);
+        prop_assert!(!flipped.verify(&keystore));
+
+        let mut tampered = genuine.clone();
+        tampered.message = Message::Commit(zugchain_pbft::Commit { view: 0, sn: sn + 1, digest });
+        prop_assert!(!tampered.verify(&keystore));
+
+        let mut impersonated = genuine;
+        impersonated.from = NodeId((sender + 1) % 4);
+        prop_assert!(!impersonated.verify(&keystore));
     }
 }

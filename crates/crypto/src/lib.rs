@@ -26,10 +26,8 @@ mod batch;
 mod digest;
 mod keys;
 mod keystore;
-mod mac;
 
 pub use batch::{verify_batch, BatchItem, BatchOutcome, BatchVerifier};
 pub use digest::Digest;
 pub use keys::{KeyPair, PublicKey, Signature, SignatureError};
 pub use keystore::Keystore;
-pub use mac::{MacKey, MacTag, SessionKeys};

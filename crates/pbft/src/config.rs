@@ -1,18 +1,5 @@
 use std::fmt;
 
-/// How replica-to-replica ordering traffic is authenticated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AuthMode {
-    /// Every message carries an Ed25519 signature (the original protocol).
-    #[default]
-    Sig,
-    /// Common-path messages carry pairwise session MACs; messages whose
-    /// authentication must outlive a view (prepares and checkpoints feed
-    /// view-change certificates, view changes *are* certificates) still
-    /// carry a signature, because MACs are not transferable evidence.
-    MacWithSigFallback,
-}
-
 /// Static configuration of a PBFT group.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Config {
@@ -41,10 +28,6 @@ pub struct Config {
     /// farthest entry — so messages for the nearest future views, the
     /// ones needed to make progress after a partition heals, survive.
     pub max_buffered_messages: usize,
-    /// How this replica authenticates its outgoing ordering traffic.
-    /// Receivers accept either form regardless of their own mode, so
-    /// mixed-mode groups interoperate.
-    pub auth_mode: AuthMode,
 }
 
 /// Error constructing a [`Config`] with too few replicas.
@@ -85,7 +68,6 @@ impl Config {
             max_batch_size: 1,
             batch_delay_ms: 0,
             max_buffered_messages: 8192,
-            auth_mode: AuthMode::Sig,
         })
     }
 
@@ -121,13 +103,6 @@ impl Config {
     #[must_use]
     pub fn with_max_buffered_messages(mut self, capacity: usize) -> Self {
         self.max_buffered_messages = capacity.max(1);
-        self
-    }
-
-    /// Overrides the authentication mode for outgoing ordering traffic.
-    #[must_use]
-    pub fn with_auth_mode(mut self, auth_mode: AuthMode) -> Self {
-        self.auth_mode = auth_mode;
         self
     }
 

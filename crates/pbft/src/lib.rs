@@ -76,10 +76,10 @@ mod messages;
 mod replica;
 mod types;
 
-pub use config::{AuthMode, Config};
+pub use config::Config;
 pub use messages::{
-    Auth, AuthVerdict, Checkpoint, CheckpointProof, Commit, Message, NewView, PrePrepare, Prepare,
-    PreparedCert, SignedMessage, ViewChange,
+    Checkpoint, CheckpointProof, Commit, Message, NewView, PrePrepare, Prepare, PreparedCert,
+    SignedMessage, ViewChange,
 };
 pub use replica::{Replica, ReplicaEffect, ReplicaEvent, ReplicaInput, ReplicaStats, ReplicaTimer};
 pub use types::{NodeId, ProposedBatch, ProposedRequest, RequestKind, MAX_WIRE_BATCH_LEN};

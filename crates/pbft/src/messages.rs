@@ -1,4 +1,4 @@
-use zugchain_crypto::{Digest, KeyPair, Keystore, MacTag, SessionKeys, Signature};
+use zugchain_crypto::{Digest, KeyPair, Keystore, Signature};
 use zugchain_wire::{decode_seq, encode_seq, Decode, Encode, Reader, WireError, Writer};
 
 use crate::{NodeId, ProposedBatch};
@@ -390,7 +390,7 @@ impl Message {
         }
     }
 
-    /// The bytes authentication (signature or MAC) covers.
+    /// The bytes a message's signature covers.
     ///
     /// For every message except the preprepare this is the canonical
     /// encoding of the whole message. A preprepare instead authenticates
@@ -464,208 +464,47 @@ impl Decode for Message {
     }
 }
 
-/// How a [`SignedMessage`] is authenticated on the wire.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Auth {
-    /// An Ed25519 signature over the message's
-    /// [`auth_bytes`](Message::auth_bytes) — transferable evidence any
-    /// third party can check against the keystore.
-    Sig(Signature),
-    /// Pairwise session MACs, one per addressed peer, each over the same
-    /// [`auth_bytes`](Message::auth_bytes). A MAC convinces only the one
-    /// peer holding the session key, so messages whose authentication
-    /// must outlive a view (prepares and checkpoints, which feed
-    /// view-change certificates) also embed the signature the fast path
-    /// skipped verifying.
-    Mac {
-        /// `(addressee, tag)` pairs; each receiver looks up its own tag.
-        tags: Vec<(NodeId, MacTag)>,
-        /// The fallback/evidence signature, where one is required.
-        sig: Option<Signature>,
-    },
-}
-
-impl Auth {
-    const TAG_SIG: u8 = 0;
-    const TAG_MAC: u8 = 1;
-}
-
-impl Encode for Auth {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Auth::Sig(signature) => {
-                w.write_u8(Self::TAG_SIG);
-                signature.encode(w);
-            }
-            Auth::Mac { tags, sig } => {
-                w.write_u8(Self::TAG_MAC);
-                w.write_varint(tags.len() as u64);
-                for (peer, tag) in tags {
-                    peer.encode(w);
-                    tag.encode(w);
-                }
-                sig.encode(w);
-            }
-        }
-    }
-}
-
-impl Decode for Auth {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.read_u8()? {
-            Self::TAG_SIG => Ok(Auth::Sig(Signature::decode(r)?)),
-            Self::TAG_MAC => {
-                let count = r.read_varint()?;
-                if count > 1024 {
-                    return Err(WireError::LengthLimitExceeded {
-                        declared: count,
-                        limit: 1024,
-                    });
-                }
-                let mut tags = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    tags.push((NodeId::decode(r)?, MacTag::decode(r)?));
-                }
-                Ok(Auth::Mac {
-                    tags,
-                    sig: Option::<Signature>::decode(r)?,
-                })
-            }
-            tag => Err(WireError::InvalidDiscriminant {
-                type_name: "Auth",
-                value: u64::from(tag),
-            }),
-        }
-    }
-}
-
-/// The receiving replica's judgement of a message's authentication.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AuthVerdict {
-    /// A valid signature (the plain [`Auth::Sig`] path).
-    SigValid,
-    /// A valid session MAC addressed to this replica — the fast path.
-    /// Any embedded signature was *not* checked; callers that later use
-    /// it as evidence must verify it first.
-    MacValid,
-    /// No usable MAC for this replica, but the embedded fallback
-    /// signature verified.
-    SigFallback,
-    /// Neither a valid MAC nor a valid signature.
-    Invalid,
-}
-
-impl AuthVerdict {
-    /// `true` when the message is authentic and may be processed.
-    pub fn accepted(self) -> bool {
-        !matches!(self, AuthVerdict::Invalid)
-    }
-
-    /// `true` when the embedded signature was checked and found valid.
-    pub fn signature_checked(self) -> bool {
-        matches!(self, AuthVerdict::SigValid | AuthVerdict::SigFallback)
-    }
-}
-
-/// A protocol message with its sender id and authentication over the
-/// message's [`auth_bytes`](Message::auth_bytes).
+/// A protocol message with its sender id and the sender's Ed25519
+/// signature over the message's [`auth_bytes`](Message::auth_bytes).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SignedMessage {
-    /// Claimed sender (verified against the keystore or session keys).
+    /// Claimed sender (verified against the keystore).
     pub from: NodeId,
     /// The protocol message.
     pub message: Message,
-    /// Signature or MAC-vector authentication.
-    pub auth: Auth,
+    /// Set only by [`sign`](Self::sign) or by decoding.
+    pub(crate) signature: Signature,
 }
 
 impl SignedMessage {
-    /// Signs `message` as `from` (the [`Auth::Sig`] form).
+    /// The one-byte tag written ahead of the signature. It is always
+    /// `0`, so every encoding keeps the length it had when a second
+    /// (MAC) form existed — the simulator charges link and CPU time by
+    /// [`wire_size`](Self::wire_size). Any other value fails to decode.
+    const SIG_TAG: u8 = 0;
+
+    /// Signs `message` as `from`.
     pub fn sign(from: NodeId, message: Message, key: &KeyPair) -> Self {
         let signature = key.sign(&message.auth_bytes());
         Self {
             from,
             message,
-            auth: Auth::Sig(signature),
+            signature,
         }
     }
 
-    /// Authenticates `message` with one session MAC per peer (the
-    /// [`Auth::Mac`] fast path).
-    ///
-    /// When `sig_key` is given, the same bytes are also signed and the
-    /// signature embedded — required for prepares and checkpoints, whose
-    /// signatures become view-change evidence, and for interoperating
-    /// with signature-only receivers.
-    pub fn sign_mac(
-        from: NodeId,
-        message: Message,
-        session: &SessionKeys,
-        sig_key: Option<&KeyPair>,
-    ) -> Self {
-        let bytes = message.auth_bytes();
-        let tags = session
-            .peers()
-            .filter_map(|peer| session.tag_for(peer, &bytes).map(|tag| (NodeId(peer), tag)))
-            .collect();
-        let sig = sig_key.map(|key| key.sign(&bytes));
-        Self {
-            from,
-            message,
-            auth: Auth::Mac { tags, sig },
-        }
+    /// The sender's signature over the message's
+    /// [`auth_bytes`](Message::auth_bytes).
+    pub fn signature(&self) -> Signature {
+        self.signature
     }
 
-    /// The embedded signature, if the message carries one.
-    pub fn signature(&self) -> Option<Signature> {
-        match &self.auth {
-            Auth::Sig(signature) => Some(*signature),
-            Auth::Mac { sig, .. } => *sig,
-        }
-    }
-
-    /// Verifies the *signature* against the sender's registered key.
-    ///
-    /// MAC tags are ignored here: this is the check for contexts that
-    /// need transferable evidence (view-change votes carried inside a
-    /// NewView). A MAC-only message fails it by design.
+    /// Verifies the signature against the sender's registered key — the
+    /// check every message must pass on arrival.
     pub fn verify(&self, keystore: &Keystore) -> bool {
-        match self.signature() {
-            Some(signature) => keystore
-                .verify(self.from.0, &self.message.auth_bytes(), &signature)
-                .is_ok(),
-            None => false,
-        }
-    }
-
-    /// Full receive-path authentication: try the session-MAC fast path,
-    /// fall back to the signature, reject if neither holds.
-    pub fn verify_auth(&self, keystore: &Keystore, session: &SessionKeys) -> AuthVerdict {
-        let bytes = self.message.auth_bytes();
-        match &self.auth {
-            Auth::Sig(signature) => {
-                if keystore.verify(self.from.0, &bytes, signature).is_ok() {
-                    AuthVerdict::SigValid
-                } else {
-                    AuthVerdict::Invalid
-                }
-            }
-            Auth::Mac { tags, sig } => {
-                let me = session.local_id();
-                let my_tag = tags.iter().find(|(peer, _)| peer.0 == me);
-                if let Some((_, tag)) = my_tag {
-                    if session.verify_from(self.from.0, &bytes, tag) {
-                        return AuthVerdict::MacValid;
-                    }
-                }
-                match sig {
-                    Some(signature) if keystore.verify(self.from.0, &bytes, signature).is_ok() => {
-                        AuthVerdict::SigFallback
-                    }
-                    _ => AuthVerdict::Invalid,
-                }
-            }
-        }
+        keystore
+            .verify(self.from.0, &self.message.auth_bytes(), &self.signature)
+            .is_ok()
     }
 
     /// Encoded size in bytes — used for network accounting.
@@ -678,17 +517,26 @@ impl Encode for SignedMessage {
     fn encode(&self, w: &mut Writer) {
         self.from.encode(w);
         self.message.encode(w);
-        self.auth.encode(w);
+        w.write_u8(Self::SIG_TAG);
+        self.signature.encode(w);
     }
 }
 
 impl Decode for SignedMessage {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(SignedMessage {
-            from: NodeId::decode(r)?,
-            message: Message::decode(r)?,
-            auth: Auth::decode(r)?,
-        })
+        let from = NodeId::decode(r)?;
+        let message = Message::decode(r)?;
+        match r.read_u8()? {
+            Self::SIG_TAG => Ok(SignedMessage {
+                from,
+                message,
+                signature: Signature::decode(r)?,
+            }),
+            tag => Err(WireError::InvalidDiscriminant {
+                type_name: "SignedMessage",
+                value: u64::from(tag),
+            }),
+        }
     }
 }
 
@@ -698,95 +546,48 @@ mod tests {
     use crate::ProposedRequest;
     use zugchain_crypto::Keystore;
 
-    #[test]
-    fn mac_fast_path_and_sig_fallback() {
-        let (pairs, keystore) = Keystore::generate(4, 0);
-        let session: Vec<SessionKeys> = (0..4).map(|i| SessionKeys::derive(&keystore, i)).collect();
-        let message = Message::Commit(Commit {
-            view: 0,
-            sn: 1,
-            digest: Digest::of(b"batch"),
-        });
-
-        // MAC-only: accepted via the fast path at every peer, not
-        // transferable (verify() fails — no signature).
-        let mac_only = SignedMessage::sign_mac(NodeId(2), message.clone(), &session[2], None);
-        for receiver in [0usize, 1, 3] {
-            assert_eq!(
-                mac_only.verify_auth(&keystore, &session[receiver]),
-                AuthVerdict::MacValid,
-                "receiver {receiver}"
-            );
-        }
-        assert!(!mac_only.verify(&keystore));
-        assert_eq!(mac_only.signature(), None);
-
-        // MAC + embedded signature: fast path at addressed peers, and the
-        // signature alone satisfies evidence contexts.
-        let with_sig =
-            SignedMessage::sign_mac(NodeId(2), message.clone(), &session[2], Some(&pairs[2]));
-        assert_eq!(
-            with_sig.verify_auth(&keystore, &session[0]),
-            AuthVerdict::MacValid
-        );
-        assert!(with_sig.verify(&keystore));
-
-        // A receiver with no tag (sender somehow omitted it) falls back to
-        // the signature.
-        let mut stripped = with_sig.clone();
-        if let Auth::Mac { tags, .. } = &mut stripped.auth {
-            tags.retain(|(peer, _)| peer.0 != 0);
-        }
-        assert_eq!(
-            stripped.verify_auth(&keystore, &session[0]),
-            AuthVerdict::SigFallback
-        );
-
-        // Plain signature mode still verdicts SigValid.
-        let plain = SignedMessage::sign(NodeId(2), message, &pairs[2]);
-        assert_eq!(
-            plain.verify_auth(&keystore, &session[0]),
-            AuthVerdict::SigValid
-        );
-    }
+    /// A `Commit { view: 0, sn: 1, digest: Digest::of(b"forged") }`
+    /// claiming to come from replica 0, authenticated only by session
+    /// MACs (envelope tag `1`, three `(peer, tag)` pairs, no signature).
+    /// Captured from the last encoder that wrote this form. Its tags were
+    /// derived from the public keystore of `Keystore::generate(4, 42)`
+    /// and nothing else, and every replica, in every mode, accepted such
+    /// frames. That forgery is why the form was removed.
+    const FORGED_MAC_COMMIT: &str = concat!(
+        "0000000000000000", // from: replica 0
+        "02",               // Message::Commit
+        "0000000000000000", // view 0
+        "0100000000000000", // sn 1
+        "ccdd35168ab474fa5764a526cfb83621351e23682c5075b2e18d56bddf96aa30",
+        "01", // envelope tag: MAC
+        "03", // three (peer, tag) pairs
+        "0100000000000000cf37364f2c37f9494450f0549237082ff1fb915f25a05c2e8ae5bccb5fbaff98",
+        "020000000000000076e31863dbee368865caf252e7ade0a05ede3bf7da12d4f0f6d8972d726cdc6a",
+        "03000000000000005cde79166ebb9e655db6fcfca34fd8024dabf0a56f8b3fd028cfc4a37696bbb3",
+        "00", // no signature
+    );
 
     #[test]
     fn forged_mac_is_rejected() {
-        let (_, keystore) = Keystore::generate(4, 0);
-        let (_, other_keystore) = Keystore::generate(4, 99);
-        let honest: Vec<SessionKeys> = (0..4).map(|i| SessionKeys::derive(&keystore, i)).collect();
-        let outsider = SessionKeys::derive(&other_keystore, 2);
-        let message = Message::Commit(Commit {
-            view: 0,
-            sn: 1,
-            digest: Digest::of(b"batch"),
-        });
-
-        // Valid-looking tags under the wrong session keys, no signature:
-        // rejected outright.
-        let forged = SignedMessage::sign_mac(NodeId(2), message.clone(), &outsider, None);
+        let bytes: Vec<u8> = (0..FORGED_MAC_COMMIT.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&FORGED_MAC_COMMIT[i..i + 2], 16).unwrap())
+            .collect();
+        // Sender and message still parse; only the envelope is refused.
+        let mut r = Reader::new(&bytes);
+        assert_eq!(NodeId::decode(&mut r), Ok(NodeId(0)));
         assert_eq!(
-            forged.verify_auth(&keystore, &honest[0]),
-            AuthVerdict::Invalid
+            Message::decode(&mut r),
+            Ok(Message::Commit(Commit {
+                view: 0,
+                sn: 1,
+                digest: Digest::of(b"forged"),
+            }))
         );
-
-        // Tampering with a tag of an honest message: the tag no longer
-        // verifies and there is no fallback signature.
-        let mut tampered = SignedMessage::sign_mac(NodeId(2), message, &honest[2], None);
-        if let Auth::Mac { tags, .. } = &mut tampered.auth {
-            let mut bytes = *tags[0].1.as_bytes();
-            bytes[0] ^= 0x80;
-            tags[0].1 = MacTag::from_bytes(bytes);
-        }
-        let victim = if let Auth::Mac { tags, .. } = &tampered.auth {
-            tags[0].0 .0
-        } else {
-            unreachable!()
-        };
-        assert_eq!(
-            tampered.verify_auth(&keystore, &honest[victim as usize]),
-            AuthVerdict::Invalid
-        );
+        assert!(matches!(
+            zugchain_wire::from_bytes::<SignedMessage>(&bytes),
+            Err(WireError::InvalidDiscriminant { value: 1, .. })
+        ));
     }
 
     #[test]

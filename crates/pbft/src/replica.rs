@@ -1,14 +1,14 @@
 use std::collections::{BTreeMap, VecDeque};
 
-use zugchain_crypto::{verify_batch, BatchItem, Digest, KeyPair, Keystore, SessionKeys, Signature};
+use zugchain_crypto::{verify_batch, BatchItem, Digest, KeyPair, Keystore, Signature};
 use zugchain_machine::{Effect, Machine};
 use zugchain_telemetry::{Counter, Gauge, Histogram, Span, Stage, Telemetry};
 use zugchain_wire::{derive_span_id, derive_trace_id};
 
 use crate::messages::Commit;
 use crate::{
-    AuthMode, AuthVerdict, Checkpoint, CheckpointProof, Config, Message, NewView, NodeId,
-    PrePrepare, Prepare, PreparedCert, ProposedBatch, ProposedRequest, SignedMessage, ViewChange,
+    Checkpoint, CheckpointProof, Config, Message, NewView, NodeId, PrePrepare, Prepare,
+    PreparedCert, ProposedBatch, ProposedRequest, SignedMessage, ViewChange,
 };
 
 /// The replica's timer vocabulary.
@@ -118,32 +118,17 @@ pub struct ReplicaStats {
     pub batches_decided: u64,
     /// View changes completed.
     pub view_changes: u64,
-    /// Messages accepted via the session-MAC fast path (no signature
-    /// verified on arrival).
-    pub auth_mac_hits: u64,
-    /// MAC-form messages accepted via their embedded fallback signature
-    /// (no usable tag for this replica).
-    pub auth_sig_fallbacks: u64,
-    /// Individual signature verifications performed (arrival checks plus
-    /// every item of each deferred `verify_batch` call).
+    /// Message signatures verified valid on arrival.
     pub signatures_verified: u64,
 }
 
-/// One prepare or checkpoint vote, with its deferred-verification state.
-///
-/// Votes arriving over the MAC fast path are authentic (the MAC proved
-/// the sender) but their embedded *signature* — the part that becomes
-/// transferable view-change evidence — has not been checked yet. The
-/// check is deferred to quorum time, where a whole round's worth verifies
-/// through `verify_batch` in one call; votes whose signature turns out
-/// missing or invalid are dropped before any certificate is built.
+/// One prepare or checkpoint vote. The signature was verified on
+/// arrival; it becomes evidence in prepared certificates and checkpoint
+/// proofs.
 #[derive(Debug, Clone, Copy)]
 struct Vote {
     digest: Digest,
-    signature: Option<Signature>,
-    /// `true` once `signature` has been verified (at arrival for the
-    /// signature path, at quorum time for the MAC fast path).
-    verified: bool,
+    signature: Signature,
 }
 
 /// Ordering state for one batch, keyed by its base sequence number; the
@@ -222,8 +207,6 @@ struct ReplicaMetrics {
     view_change_msgs: Counter,
     new_view_msgs: Counter,
     invalid_signatures: Counter,
-    auth_mac_hits: Counter,
-    auth_sig_fallbacks: Counter,
     ignored: Counter,
     decided: Counter,
     batches_decided: Counter,
@@ -248,8 +231,6 @@ impl ReplicaMetrics {
             view_change_msgs: msg("viewchange"),
             new_view_msgs: msg("newview"),
             invalid_signatures: telemetry.counter("zugchain_pbft_invalid_signatures_total"),
-            auth_mac_hits: telemetry.counter("zugchain_pbft_auth_mac_fast_path_total"),
-            auth_sig_fallbacks: telemetry.counter("zugchain_pbft_auth_sig_fallback_total"),
             ignored: telemetry.counter("zugchain_pbft_ignored_total"),
             decided: telemetry.counter("zugchain_pbft_decided_total"),
             batches_decided: telemetry.counter("zugchain_pbft_batches_decided_total"),
@@ -282,10 +263,6 @@ pub struct Replica {
     config: Config,
     key: KeyPair,
     keystore: Keystore,
-    /// Pairwise session keys derived from the keystore, for the MAC
-    /// fast path (used for verification in every mode; used for signing
-    /// only under [`AuthMode::MacWithSigFallback`]).
-    session: SessionKeys,
 
     view: u64,
     phase: Option<ViewChangeState>,
@@ -306,9 +283,8 @@ pub struct Replica {
     /// ahead of ours (e.g. prepares racing the `NewView` on another
     /// link). Replayed after entering a view — dropping them instead
     /// wedges this replica behind the in-order execution point and
-    /// causes spurious suspicions. Each entry carries its
-    /// signature-checked flag from arrival time.
-    buffered: VecDeque<(SignedMessage, bool)>,
+    /// causes spurious suspicions.
+    buffered: VecDeque<SignedMessage>,
     /// The view-change timer the replica currently has armed (the target
     /// view it is waiting on), if any. The replica owns this bookkeeping
     /// so every runtime gets identical escalation behaviour for free.
@@ -349,13 +325,11 @@ impl Replica {
                 "keystore is missing replica {replica}"
             );
         }
-        let session = SessionKeys::derive(&keystore, id.0);
         Self {
             id,
             config,
             key,
             keystore,
-            session,
             view: 0,
             phase: None,
             next_sn: 1,
@@ -533,35 +507,8 @@ impl Replica {
         std::mem::take(&mut self.effects)
     }
 
-    /// Authenticates an outgoing message under the configured
-    /// [`AuthMode`], applying the per-type evidence policy.
-    fn authenticate(&self, message: Message) -> SignedMessage {
-        match self.config.auth_mode {
-            AuthMode::Sig => SignedMessage::sign(self.id, message, &self.key),
-            AuthMode::MacWithSigFallback => match &message {
-                // Prepare and checkpoint signatures become transferable
-                // evidence (prepared certificates, checkpoint proofs), so
-                // the fast path embeds a signature it skips verifying.
-                Message::Prepare(_) | Message::Checkpoint(_) => {
-                    SignedMessage::sign_mac(self.id, message, &self.session, Some(&self.key))
-                }
-                // Preprepares and commits never outlive their view:
-                // MAC-only, no signature computed at all.
-                Message::PrePrepare(_) | Message::Commit(_) => {
-                    SignedMessage::sign_mac(self.id, message, &self.session, None)
-                }
-                // View-change votes *are* the certificate a NewView
-                // carries; NewViews are checked by recomputation but keep
-                // the uniform signed form.
-                Message::ViewChange(_) | Message::NewView(_) => {
-                    SignedMessage::sign(self.id, message, &self.key)
-                }
-            },
-        }
-    }
-
     fn broadcast(&mut self, message: Message) -> SignedMessage {
-        let signed = self.authenticate(message);
+        let signed = SignedMessage::sign(self.id, message, &self.key);
         self.effects.push(Effect::Broadcast {
             message: signed.clone(),
         });
@@ -806,19 +753,15 @@ impl Replica {
     /// message; once 2f+1 replicas match, the checkpoint becomes stable.
     pub fn record_checkpoint(&mut self, sn: u64, state_digest: Digest) {
         let checkpoint = Checkpoint { sn, state_digest };
-        let signed = self.broadcast(Message::Checkpoint(checkpoint));
-        let signature = signed
-            .signature()
-            .expect("own checkpoint messages always embed a signature");
-        self.store_checkpoint_vote(self.id, checkpoint, Some(signature), true);
+        let signature = self.broadcast(Message::Checkpoint(checkpoint)).signature();
+        self.store_checkpoint_vote(self.id, checkpoint, signature);
     }
 
     fn store_checkpoint_vote(
         &mut self,
         from: NodeId,
         checkpoint: Checkpoint,
-        signature: Option<Signature>,
-        verified: bool,
+        signature: Signature,
     ) {
         if checkpoint.sn <= self.low_watermark {
             return;
@@ -827,7 +770,6 @@ impl Replica {
         votes.votes.entry(from).or_insert(Vote {
             digest: checkpoint.state_digest,
             signature,
-            verified,
         });
         self.maybe_stabilize_checkpoint(checkpoint.sn);
     }
@@ -848,23 +790,11 @@ impl Replica {
             return;
         };
         let digest = *digest;
-        // The proof's signatures are transferable evidence, so every
-        // matching vote that arrived over the MAC fast path has its
-        // deferred signature checked now — one `verify_batch` call for
-        // the round. Votes with a missing or invalid signature are
-        // dropped; if that sinks the quorum, wait for more votes.
-        if !self.validate_vote_signatures(sn, &digest) {
-            return;
-        }
-        let votes = self
-            .checkpoints
-            .get(&sn)
-            .expect("validated checkpoint votes still present");
         let signatures: Vec<(NodeId, Signature)> = votes
             .votes
             .iter()
-            .filter(|(_, vote)| vote.digest == digest && vote.verified)
-            .filter_map(|(id, vote)| vote.signature.map(|sig| (*id, sig)))
+            .filter(|(_, vote)| vote.digest == digest)
+            .map(|(id, vote)| (*id, vote.signature))
             .collect();
         let proof = CheckpointProof {
             checkpoint: Checkpoint {
@@ -874,137 +804,6 @@ impl Replica {
             signatures,
         };
         self.stabilize(proof);
-    }
-
-    /// Verifies the deferred signatures of the matching checkpoint votes
-    /// at `sn`, dropping any vote whose signature is missing or invalid.
-    /// Returns `true` if a quorum of verified matching votes remains.
-    fn validate_vote_signatures(&mut self, sn: u64, digest: &Digest) -> bool {
-        let pending: Vec<(NodeId, Option<Signature>)> = match self.checkpoints.get(&sn) {
-            Some(votes) => votes
-                .votes
-                .iter()
-                .filter(|(_, vote)| vote.digest == *digest && !vote.verified)
-                .map(|(id, vote)| (*id, vote.signature))
-                .collect(),
-            None => return false,
-        };
-        let quorum = self.config.quorum();
-        if pending.is_empty() {
-            return self.checkpoints.get(&sn).is_some_and(|votes| {
-                votes
-                    .votes
-                    .values()
-                    .filter(|vote| vote.digest == *digest && vote.verified)
-                    .count()
-                    >= quorum
-            });
-        }
-        let bytes = zugchain_wire::to_bytes(&Message::Checkpoint(Checkpoint {
-            sn,
-            state_digest: *digest,
-        }));
-        let (valid, invalid) = self.check_signatures(&pending, &bytes);
-        let Some(votes) = self.checkpoints.get_mut(&sn) else {
-            return false;
-        };
-        for id in valid {
-            if let Some(vote) = votes.votes.get_mut(&id) {
-                vote.verified = true;
-            }
-        }
-        for id in invalid {
-            votes.votes.remove(&id);
-        }
-        votes
-            .votes
-            .values()
-            .filter(|vote| vote.digest == *digest && vote.verified)
-            .count()
-            >= quorum
-    }
-
-    /// Batch-verifies pending `(signer, signature)` votes over `bytes`,
-    /// splitting them into verified signers and signers to drop (missing
-    /// or invalid signature).
-    fn check_signatures(
-        &mut self,
-        pending: &[(NodeId, Option<Signature>)],
-        bytes: &[u8],
-    ) -> (Vec<NodeId>, Vec<NodeId>) {
-        let mut items: Vec<BatchItem> = Vec::new();
-        let mut item_ids: Vec<NodeId> = Vec::new();
-        let mut invalid: Vec<NodeId> = Vec::new();
-        for (id, signature) in pending {
-            match (signature, self.keystore.get(id.0)) {
-                (Some(sig), Some(key)) => {
-                    items.push((*key, bytes.to_vec(), *sig));
-                    item_ids.push(*id);
-                }
-                _ => invalid.push(*id),
-            }
-        }
-        self.stats.signatures_verified += items.len() as u64;
-        let outcome = verify_batch(&items);
-        let mut valid = Vec::new();
-        for (index, id) in item_ids.into_iter().enumerate() {
-            if outcome.is_valid(index) {
-                valid.push(id);
-            } else {
-                invalid.push(id);
-            }
-        }
-        (valid, invalid)
-    }
-
-    /// Verifies the deferred signatures of the matching prepare votes at
-    /// `sn` — MAC-authenticated prepares carry their signature unverified
-    /// until a quorum assembles, then the whole round validates in one
-    /// `verify_batch` call. Votes with a missing or invalid signature are
-    /// dropped. Returns `true` if a prepare quorum of verified matching
-    /// votes remains.
-    fn validate_prepare_quorum(&mut self, sn: u64, digest: &Digest) -> bool {
-        let pending: Vec<(NodeId, Option<Signature>)> = match self.slots.get(&sn) {
-            Some(slot) => slot
-                .prepares
-                .iter()
-                .filter(|(_, vote)| vote.digest == *digest && !vote.verified)
-                .map(|(id, vote)| (*id, vote.signature))
-                .collect(),
-            None => return false,
-        };
-        let quorum = self.config.prepare_quorum();
-        if pending.is_empty() {
-            return self.slots.get(&sn).is_some_and(|slot| {
-                slot.prepares
-                    .values()
-                    .filter(|vote| vote.digest == *digest && vote.verified)
-                    .count()
-                    >= quorum
-            });
-        }
-        let bytes = zugchain_wire::to_bytes(&Message::Prepare(Prepare {
-            view: self.view,
-            sn,
-            digest: *digest,
-        }));
-        let (valid, invalid) = self.check_signatures(&pending, &bytes);
-        let Some(slot) = self.slots.get_mut(&sn) else {
-            return false;
-        };
-        for id in valid {
-            if let Some(vote) = slot.prepares.get_mut(&id) {
-                vote.verified = true;
-            }
-        }
-        for id in invalid {
-            slot.prepares.remove(&id);
-        }
-        slot.prepares
-            .values()
-            .filter(|vote| vote.digest == *digest && vote.verified)
-            .count()
-            >= quorum
     }
 
     fn stabilize(&mut self, proof: CheckpointProof) {
@@ -1051,9 +850,9 @@ impl Replica {
 
     /// Processes a protocol message from the network.
     ///
-    /// Authentication tries the session-MAC fast path first, then the
-    /// signature; invalid messages are counted and dropped — a Byzantine
-    /// peer cannot impersonate others or corrupt state with garbage.
+    /// The message's signature must verify under its claimed sender's
+    /// key; invalid messages are counted and dropped — a Byzantine peer
+    /// cannot impersonate others or corrupt state with garbage.
     pub fn on_message(&mut self, message: SignedMessage) {
         if message.from == self.id {
             return; // our own broadcast echoed back
@@ -1063,29 +862,15 @@ impl Replica {
             self.metrics.ignored.inc();
             return;
         }
-        let verdict = message.verify_auth(&self.keystore, &self.session);
-        match verdict {
-            AuthVerdict::Invalid => {
-                self.stats.invalid_signatures += 1;
-                self.metrics.invalid_signatures.inc();
-                return;
-            }
-            AuthVerdict::MacValid => {
-                self.stats.auth_mac_hits += 1;
-                self.metrics.auth_mac_hits.inc();
-            }
-            AuthVerdict::SigFallback => {
-                self.stats.auth_sig_fallbacks += 1;
-                self.metrics.auth_sig_fallbacks.inc();
-                self.stats.signatures_verified += 1;
-            }
-            AuthVerdict::SigValid => {
-                self.stats.signatures_verified += 1;
-            }
+        if !message.verify(&self.keystore) {
+            self.stats.invalid_signatures += 1;
+            self.metrics.invalid_signatures.inc();
+            return;
         }
+        self.stats.signatures_verified += 1;
         self.stats.messages_processed += 1;
         self.metrics.for_message(&message.message).inc();
-        self.dispatch(message, verdict.signature_checked());
+        self.dispatch(message);
     }
 
     /// The view an ordering message belongs to (`None` for view-change
@@ -1101,11 +886,7 @@ impl Replica {
 
     /// Routes one verified message, buffering ordering traffic that this
     /// replica cannot act on yet (mid-view-change, or for a future view).
-    ///
-    /// `sig_checked` records whether the message's embedded signature was
-    /// verified on arrival (`false` for MAC fast-path acceptances, whose
-    /// signature check is deferred to quorum time).
-    fn dispatch(&mut self, message: SignedMessage, sig_checked: bool) {
+    fn dispatch(&mut self, message: SignedMessage) {
         if let Some(view) = Self::ordering_view(&message.message) {
             if view > self.view || (view == self.view && self.in_view_change()) {
                 if self.buffered.len() >= self.config.max_buffered_messages {
@@ -1119,12 +900,10 @@ impl Replica {
                         .buffered
                         .iter()
                         .enumerate()
-                        .max_by_key(|(index, (buffered, _))| {
+                        .max_by_key(|(index, buffered)| {
                             (Self::ordering_view(&buffered.message), *index)
                         })
-                        .map(|(index, (buffered, _))| {
-                            (index, Self::ordering_view(&buffered.message))
-                        })
+                        .map(|(index, buffered)| (index, Self::ordering_view(&buffered.message)))
                         .expect("buffer at capacity is non-empty");
                     if Some(view) >= evict_view {
                         // The incoming message is at least as far in the
@@ -1139,7 +918,7 @@ impl Replica {
                     self.buffered.remove(evict);
                     self.metrics.buffer_evictions.inc();
                 }
-                self.buffered.push_back((message, sig_checked));
+                self.buffered.push_back(message);
                 self.metrics
                     .future_buffer_len
                     .set(self.buffered.len() as i64);
@@ -1148,24 +927,23 @@ impl Replica {
         }
         // Destructure instead of cloning: a preprepare's batch should not
         // be deep-copied just to route it.
-        let signature = message.signature();
         let SignedMessage {
             from,
             message,
-            auth,
+            signature,
         } = message;
         match message {
             Message::PrePrepare(preprepare) => self.on_preprepare(from, preprepare),
-            Message::Prepare(prepare) => self.on_prepare(from, prepare, signature, sig_checked),
+            Message::Prepare(prepare) => self.on_prepare(from, prepare, signature),
             Message::Commit(commit) => self.on_commit(from, commit),
             Message::Checkpoint(checkpoint) => {
-                self.store_checkpoint_vote(from, checkpoint, signature, sig_checked);
+                self.store_checkpoint_vote(from, checkpoint, signature);
             }
             Message::NewView(new_view) => self.on_new_view(from, new_view),
             message @ Message::ViewChange(_) => self.on_view_change_vote(SignedMessage {
                 from,
                 message,
-                auth,
+                signature,
             }),
         }
     }
@@ -1267,19 +1045,9 @@ impl Replica {
             sn,
             digest,
         };
-        let signed = self.broadcast(Message::Prepare(prepare));
-        let own_signature = signed
-            .signature()
-            .expect("own prepare messages always embed a signature");
+        let signature = self.broadcast(Message::Prepare(prepare)).signature();
         if let Some(slot) = self.slots.get_mut(&sn) {
-            slot.prepares.insert(
-                self.id,
-                Vote {
-                    digest,
-                    signature: Some(own_signature),
-                    verified: true,
-                },
-            );
+            slot.prepares.insert(self.id, Vote { digest, signature });
         }
         self.maybe_advance(sn);
     }
@@ -1317,13 +1085,7 @@ impl Replica {
         (batch_digest, payload_digests)
     }
 
-    fn on_prepare(
-        &mut self,
-        from: NodeId,
-        prepare: Prepare,
-        signature: Option<Signature>,
-        verified: bool,
-    ) {
+    fn on_prepare(&mut self, from: NodeId, prepare: Prepare, signature: Signature) {
         if self.in_view_change()
             || prepare.view != self.view
             || !self.ordering_in_window(prepare.sn)
@@ -1341,7 +1103,6 @@ impl Replica {
         slot.prepares.entry(from).or_insert(Vote {
             digest: prepare.digest,
             signature,
-            verified,
         });
         self.maybe_advance(prepare.sn);
     }
@@ -1373,15 +1134,8 @@ impl Replica {
             .batch_digest
             .expect("slot with a preprepare has a cached batch digest");
 
-        if !slot.prepared
-            && slot.matching_prepares(&digest) >= prepare_quorum
-            && self.validate_prepare_quorum(sn, &digest)
-        {
+        if !slot.prepared && slot.matching_prepares(&digest) >= prepare_quorum {
             let now = self.telemetry.now_ms();
-            let slot = self
-                .slots
-                .get_mut(&sn)
-                .expect("slot existed before signature validation");
             slot.prepared = true;
             slot.t_prepared = now;
             let t_accept = slot.t_accept;
@@ -1574,8 +1328,8 @@ impl Replica {
                     prepare_signatures: slot
                         .prepares
                         .iter()
-                        .filter(|(_, vote)| vote.digest == digest && vote.verified)
-                        .filter_map(|(id, vote)| vote.signature.map(|sig| (*id, sig)))
+                        .filter(|(_, vote)| vote.digest == digest)
+                        .map(|(id, vote)| (*id, vote.signature))
                         .collect(),
                 }
             })
@@ -1697,11 +1451,10 @@ impl Replica {
             if view_change.new_view != new_view.view {
                 continue;
             }
-            let (Some(signature), Some(key)) = (vote.signature(), self.keystore.get(vote.from.0))
-            else {
+            let Some(key) = self.keystore.get(vote.from.0) else {
                 continue;
             };
-            items.push((*key, vote.message.auth_bytes(), signature));
+            items.push((*key, vote.message.auth_bytes(), vote.signature()));
             candidates.push(vote);
         }
         let outcome = verify_batch(&items);
@@ -1797,19 +1550,9 @@ impl Replica {
             }
             if self.id != primary {
                 let prepare = Prepare { view, sn, digest };
-                let signed = self.broadcast(Message::Prepare(prepare));
-                let own_signature = signed
-                    .signature()
-                    .expect("own prepare messages always embed a signature");
+                let signature = self.broadcast(Message::Prepare(prepare)).signature();
                 if let Some(slot) = self.slots.get_mut(&sn) {
-                    slot.prepares.insert(
-                        self.id,
-                        Vote {
-                            digest,
-                            signature: Some(own_signature),
-                            verified: true,
-                        },
-                    );
+                    slot.prepares.insert(self.id, Vote { digest, signature });
                 }
                 self.maybe_advance(sn);
             }
@@ -1820,9 +1563,9 @@ impl Replica {
         }
         // Replay ordering traffic that raced the view change; anything
         // still ahead of the new view goes straight back into the buffer.
-        let buffered: Vec<(SignedMessage, bool)> = self.buffered.drain(..).collect();
-        for (message, sig_checked) in buffered {
-            self.dispatch(message, sig_checked);
+        let buffered: Vec<SignedMessage> = self.buffered.drain(..).collect();
+        for message in buffered {
+            self.dispatch(message);
         }
         self.metrics
             .future_buffer_len

@@ -4,8 +4,8 @@ use zugchain_crypto::{Digest, Keystore};
 use zugchain_machine::Effect;
 
 use crate::{
-    Config, Message, NodeId, PrePrepare, ProposedBatch, ProposedRequest, Replica, ReplicaEvent,
-    ReplicaTimer, SignedMessage,
+    Checkpoint, Commit, Config, Message, NewView, NodeId, PrePrepare, Prepare, ProposedBatch,
+    ProposedRequest, Replica, ReplicaEvent, ReplicaTimer, SignedMessage, ViewChange,
 };
 
 /// Events collected from all replicas during a harness run.
@@ -398,25 +398,114 @@ fn equivocating_primary_is_suspected() {
     );
 }
 
+/// One message of every kind, each with the id of the replica that
+/// would send it to replica 1 in view 0.
+fn one_of_each_kind() -> Vec<(u64, Message)> {
+    let digest = Digest::of(b"batch");
+    vec![
+        (
+            0,
+            Message::PrePrepare(PrePrepare {
+                view: 0,
+                sn: 1,
+                batch: ProposedBatch::single(request(9, 0)),
+            }),
+        ),
+        (
+            2,
+            Message::Prepare(Prepare {
+                view: 0,
+                sn: 1,
+                digest,
+            }),
+        ),
+        (
+            2,
+            Message::Commit(Commit {
+                view: 0,
+                sn: 1,
+                digest,
+            }),
+        ),
+        (
+            2,
+            Message::Checkpoint(Checkpoint {
+                sn: 1,
+                state_digest: digest,
+            }),
+        ),
+        (
+            2,
+            Message::ViewChange(ViewChange {
+                new_view: 1,
+                last_stable_sn: 0,
+                checkpoint_proof: None,
+                prepared: Vec::new(),
+            }),
+        ),
+        (
+            2,
+            Message::NewView(NewView {
+                view: 2,
+                view_changes: Vec::new(),
+                preprepares: Vec::new(),
+            }),
+        ),
+    ]
+}
+
+/// Changes one field of a message after it was signed.
+fn tamper(message: &mut Message) {
+    let other = Digest::of(b"other");
+    match message {
+        Message::PrePrepare(pp) => pp.batch = ProposedBatch::single(request(8, 0)),
+        Message::Prepare(prepare) => prepare.digest = other,
+        Message::Commit(commit) => commit.sn += 1,
+        Message::Checkpoint(checkpoint) => checkpoint.state_digest = other,
+        Message::ViewChange(vc) => vc.last_stable_sn += 1,
+        Message::NewView(nv) => nv.preprepares.push(PrePrepare {
+            view: nv.view,
+            sn: 1,
+            batch: ProposedBatch::single(ProposedRequest::noop(NodeId(2))),
+        }),
+    }
+}
+
 #[test]
 fn forged_signatures_are_rejected() {
-    let mut cluster = Cluster::new(4);
     let (pairs, _) = Keystore::generate(4, 42);
-    // Node 3 forges a preprepare claiming to be from the primary.
-    let forged = SignedMessage::sign(
-        NodeId(3),
-        Message::PrePrepare(PrePrepare {
-            view: 0,
-            sn: 1,
-            batch: ProposedBatch::single(request(9, 3)),
-        }),
-        &pairs[3],
-    );
-    let mut impersonated = forged;
-    impersonated.from = NodeId(0);
-    cluster.replicas[1].on_message(impersonated);
-    assert_eq!(cluster.replicas[1].stats().invalid_signatures, 1);
-    assert!(cluster.replicas[1].drain_effects().is_empty());
+    for (sender, message) in one_of_each_kind() {
+        let kind = message.kind();
+        let key = &pairs[sender as usize];
+        // The genuine message is accepted, so each forgery below differs
+        // from it in authentication alone.
+        let mut cluster = Cluster::new(4);
+        cluster.replicas[1].on_message(SignedMessage::sign(NodeId(sender), message.clone(), key));
+        assert_eq!(cluster.replicas[1].stats().messages_processed, 1, "{kind}");
+
+        // Replica 3 signs with its own key and claims another sender.
+        let mut impersonated = SignedMessage::sign(NodeId(3), message.clone(), &pairs[3]);
+        impersonated.from = NodeId(sender);
+        // The sender signs correctly; one field changes in flight.
+        let mut tampered = SignedMessage::sign(NodeId(sender), message, key);
+        tamper(&mut tampered.message);
+
+        for (case, forged) in [("impersonated", impersonated), ("tampered", tampered)] {
+            let mut cluster = Cluster::new(4);
+            let replica = &mut cluster.replicas[1];
+            replica.on_message(forged);
+            let stats = replica.stats();
+            assert_eq!(stats.invalid_signatures, 1, "{kind} {case}");
+            assert_eq!(stats.messages_processed, 0, "{kind} {case}");
+            assert!(replica.drain_effects().is_empty(), "{kind} {case}");
+            assert!(replica.slot_snapshot().is_empty(), "{kind} {case}");
+            assert_eq!(
+                replica.progress_snapshot(),
+                (0, 0, 0, 1, 0),
+                "{kind} {case}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -11,20 +11,11 @@
 //! The suite also covers the timer-generation contract: soft timeouts
 //! that were cancelled and re-armed while the crash was handled must
 //! never cause a payload to be proposed (and thus decided) twice.
-//!
-//! Since the MAC authenticator fast path, the matrix has a second axis:
-//! the same crash-and-view-change scenario must decide bit-identical
-//! logs whether ordering traffic is signature-authenticated
-//! ([`AuthMode::Sig`]) or MAC-authenticated with deferred signatures
-//! ([`AuthMode::MacWithSigFallback`]) — and a mixed-mode group, where
-//! some replicas speak MACs and others only signatures, must still
-//! agree.
 
 use std::time::{Duration, Instant};
 
 use zugchain::NodeConfig;
 use zugchain_crypto::Digest;
-use zugchain_pbft::AuthMode;
 use zugchain_sim::runtime::{ClusterEvent, ThreadedCluster};
 use zugchain_sim::tcp::TcpCluster;
 use zugchain_sim::{run_scenario, Mode, ScenarioConfig, Workload};
@@ -45,11 +36,10 @@ fn payloads() -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// The conformance node config at a given consensus batch size and
-/// authentication mode. Batched configs get a short flush delay so a
-/// partial batch (every batch, in the quiescent script) still proposes
-/// promptly.
-fn node_config(max_batch_size: usize, auth_mode: AuthMode) -> NodeConfig {
+/// The conformance node config at a given consensus batch size. Batched
+/// configs get a short flush delay so a partial batch (every batch, in
+/// the quiescent script) still proposes promptly.
+fn node_config(max_batch_size: usize) -> NodeConfig {
     let mut config = NodeConfig::default_for_testing();
     if max_batch_size > 1 {
         config.pbft = config
@@ -57,7 +47,6 @@ fn node_config(max_batch_size: usize, auth_mode: AuthMode) -> NodeConfig {
             .with_max_batch_size(max_batch_size)
             .with_batch_delay(10);
     }
-    config.pbft = config.pbft.with_auth_mode(auth_mode);
     config
 }
 
@@ -168,15 +157,14 @@ fn check_one_runtime(decided: &[Vec<(u64, Digest)>], runtime: &str) {
 
 #[test]
 fn all_three_runtimes_decide_the_identical_sequence() {
-    let sim = sim_decided(node_config(1, AuthMode::Sig));
+    let sim = sim_decided(node_config(1));
     check_one_runtime(&sim, "sim");
 
-    let threaded = live_decided!(ThreadedCluster::start(N, node_config(1, AuthMode::Sig)));
+    let threaded = live_decided!(ThreadedCluster::start(N, node_config(1)));
     check_one_runtime(&threaded, "threaded");
 
     let tcp =
-        live_decided!(TcpCluster::start(N, node_config(1, AuthMode::Sig))
-            .expect("loopback sockets available"));
+        live_decided!(TcpCluster::start(N, node_config(1)).expect("loopback sockets available"));
     check_one_runtime(&tcp, "tcp");
 
     // The tentpole claim: one driver, one behaviour. The full (sn,
@@ -193,146 +181,23 @@ fn all_three_runtimes_decide_the_identical_sequence() {
 /// batching changes when agreement happens, never what is agreed.
 #[test]
 fn batched_runtimes_decide_the_identical_per_request_sequence() {
-    let sim_unbatched = sim_decided(node_config(1, AuthMode::Sig));
-    let sim = sim_decided(node_config(16, AuthMode::Sig));
+    let sim_unbatched = sim_decided(node_config(1));
+    let sim = sim_decided(node_config(16));
     check_one_runtime(&sim, "sim/batch16");
     assert_eq!(
         sim, sim_unbatched,
         "batch size must not change the decided log"
     );
 
-    let threaded = live_decided!(ThreadedCluster::start(N, node_config(16, AuthMode::Sig)));
+    let threaded = live_decided!(ThreadedCluster::start(N, node_config(16)));
     check_one_runtime(&threaded, "threaded/batch16");
 
     let tcp =
-        live_decided!(TcpCluster::start(N, node_config(16, AuthMode::Sig))
-            .expect("loopback sockets available"));
+        live_decided!(TcpCluster::start(N, node_config(16)).expect("loopback sockets available"));
     check_one_runtime(&tcp, "tcp/batch16");
 
     assert_eq!(sim, threaded, "sim and threaded decided identically");
     assert_eq!(threaded, tcp, "threaded and tcp decided identically");
-}
-
-/// The equivalence half of the authentication fast path's contract: the
-/// crash-and-view-change scenario, at batch size 1 and 16, decides
-/// **bit-identical** per-request `(sn, digest)` logs whether ordering
-/// traffic is signature-authenticated or MAC-authenticated — on the
-/// deterministic simulator and on both live runtimes. Authentication is
-/// transport dressing; it must never reach the decided log.
-#[test]
-fn auth_mode_is_invisible_in_the_decided_logs() {
-    for batch in [1usize, 16] {
-        let sig = sim_decided(node_config(batch, AuthMode::Sig));
-        let mac = sim_decided(node_config(batch, AuthMode::MacWithSigFallback));
-        check_one_runtime(&mac, &format!("sim/mac/batch{batch}"));
-        assert_eq!(
-            sig, mac,
-            "batch {batch}: sim decided logs must not depend on the auth mode"
-        );
-
-        let threaded = live_decided!(ThreadedCluster::start(
-            N,
-            node_config(batch, AuthMode::MacWithSigFallback)
-        ));
-        check_one_runtime(&threaded, &format!("threaded/mac/batch{batch}"));
-
-        let tcp = live_decided!(TcpCluster::start(
-            N,
-            node_config(batch, AuthMode::MacWithSigFallback)
-        )
-        .expect("loopback sockets available"));
-        check_one_runtime(&tcp, &format!("tcp/mac/batch{batch}"));
-
-        assert_eq!(
-            mac, threaded,
-            "batch {batch}: sim and threaded agree under MACs"
-        );
-        assert_eq!(
-            threaded, tcp,
-            "batch {batch}: threaded and tcp agree under MACs"
-        );
-    }
-}
-
-/// A mixed-mode group: replicas 0 and 2 authenticate with signatures
-/// only, replicas 1 and 3 speak session MACs (with the embedded
-/// signature fallback). Receivers accept either form, so the group must
-/// order a request stream exactly as a uniform group would — and the
-/// MAC fast path must actually fire on the nodes receiving MAC traffic.
-#[test]
-fn mixed_mode_group_orders_identically() {
-    use zugchain_crypto::Keystore;
-    use zugchain_machine::Effect;
-    use zugchain_pbft::{Config, NodeId, ProposedRequest, Replica, ReplicaEvent};
-
-    let modes = [
-        AuthMode::Sig,
-        AuthMode::MacWithSigFallback,
-        AuthMode::Sig,
-        AuthMode::MacWithSigFallback,
-    ];
-    let (pairs, keystore) = Keystore::generate(N, 21);
-    let mut replicas: Vec<Replica> = pairs
-        .into_iter()
-        .enumerate()
-        .map(|(id, key)| {
-            let config = Config::new(N).unwrap().with_auth_mode(modes[id]);
-            Replica::new(NodeId(id as u64), config, key, keystore.clone())
-        })
-        .collect();
-
-    let requests = 24usize;
-    let mut logs: Vec<Vec<(u64, Digest)>> = vec![Vec::new(); N];
-    for tag in 0..requests {
-        let mut payload = vec![0u8; 64];
-        payload[..8].copy_from_slice(&(tag as u64).to_le_bytes());
-        replicas[0].propose(ProposedRequest::application(payload, NodeId(0)));
-    }
-    loop {
-        let mut traffic = Vec::new();
-        for (node, replica) in replicas.iter_mut().enumerate() {
-            for effect in replica.drain_effects() {
-                match effect {
-                    Effect::Broadcast { message } => traffic.push(message),
-                    Effect::Output(ReplicaEvent::Decide { sn, request, .. }) => {
-                        logs[node].push((sn, request.payload_digest()));
-                    }
-                    _ => {}
-                }
-            }
-        }
-        if traffic.is_empty() {
-            break;
-        }
-        for message in traffic {
-            for replica in replicas.iter_mut() {
-                replica.on_message(message.clone());
-            }
-        }
-    }
-
-    for node in 0..N {
-        assert_eq!(
-            logs[node].len(),
-            requests,
-            "node {node} decided every request"
-        );
-        assert_eq!(logs[node], logs[0], "node {node} agrees with node 0");
-    }
-    // The fast path really fired: every replica received MAC-tagged
-    // traffic from replicas 1 and 3 (commits at least), regardless of
-    // its own sending mode.
-    for (node, replica) in replicas.iter().enumerate() {
-        assert!(
-            replica.stats().auth_mac_hits > 0,
-            "node {node} verified MAC-tagged messages on the fast path"
-        );
-        assert_eq!(
-            replica.stats().invalid_signatures,
-            0,
-            "node {node} rejected nothing in a fault-free mixed-mode run"
-        );
-    }
 }
 
 /// Crash the primary *mid-batch*: a burst of eight payloads lands in the
@@ -367,7 +232,7 @@ fn mid_batch_crash_and_view_change_decide_the_burst_exactly_once() {
         run_scenario(&config, 41)
     };
 
-    let mut batched_config = node_config(1, AuthMode::Sig);
+    let mut batched_config = node_config(1);
     batched_config.pbft = batched_config
         .pbft
         .with_max_batch_size(16)

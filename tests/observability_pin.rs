@@ -15,10 +15,11 @@ use zugchain_sim::{run_traced_pipeline, Mode, ScenarioConfig, Simulation, Worklo
 const TRACE_FINGERPRINT_SHA256: &str =
     "083ff7ec73ba19b14f2838dc753912a5e6e872c745090c47f91705bf5bfb6c86";
 /// SHA-256 of the seed-1 instrumented exposition (5 s, 256 B payloads):
-/// the bytes taken before the collector comm mode was removed, minus its
-/// 13 always-zero lines (the `zugchain_pbft_collector_fallbacks_total`
-/// family and the `prepare-cert`/`commit-cert` message counters).
-const EXPOSITION_SHA256: &str = "a7c4008e879a15eb336b4b782423b99fee49098ab9706f866e4f69c30945bdbc";
+/// the bytes taken before the MAC authenticator was removed (17 260
+/// bytes), minus its 10 always-zero lines — the `# TYPE` line and four
+/// per-node samples of each of `zugchain_pbft_auth_mac_fast_path_total`
+/// and `zugchain_pbft_auth_sig_fallback_total` (16 749 bytes).
+const EXPOSITION_SHA256: &str = "b73be43d2911e63497bead084c7a5840da8cf51a25a5b92d75f4354953acb43d";
 
 fn config(duration_ms: u64) -> ScenarioConfig {
     ScenarioConfig {
