@@ -3,23 +3,21 @@
 //!
 //! # Storage layout
 //!
-//! An on-disk archive directory contains:
-//!
-//! * `seg-<seq>.zas` — one file per segment: magic `ZGS1`, a content
-//!   digest, and the canonical [`Segment`] encoding (the
-//!   write-temp-fsync-rename discipline of the on-train `DiskStore`);
-//! * `index.zai` — a small summary (`ZGI1`) of the expected segment
-//!   sequence, used only to *detect* divergence on restart. Segments
-//!   carry quorum certificates; the summary does not — so on any
-//!   disagreement the segments win and the indexes are rebuilt.
+//! An on-disk archive directory holds one file per segment and nothing
+//! else: `seg-<seq>.zas`, framed as magic `ZGS1` ‖ SHA-256 of the body ‖
+//! the canonical [`Segment`] encoding. Each file is written once by
+//! [`write_record`] (tmp, fsync, rename, directory fsync), so an ingest
+//! costs one file whatever the archive's size.
 //!
 //! # Recovery
 //!
 //! [`Archive::open`] walks segment files ascending and keeps the longest
 //! prefix that is gap-free, undamaged, chain-continuous, and passes full
 //! [`Segment::verify`]; everything after the first defect is deleted so
-//! the directory is append-consistent again. The in-memory indexes are
-//! always rebuilt from the surviving segments.
+//! the directory is append-consistent again. It also deletes the
+//! `seg-*.tmp` files an interrupted write leaves and the `index.zai`
+//! summary older builds kept. The in-memory indexes are always rebuilt
+//! from the surviving segments.
 
 use std::fs;
 use std::io::{self, Write as _};
@@ -31,7 +29,7 @@ use zugchain_crypto::{Digest, Keystore};
 use zugchain_export::CertifiedSegment;
 use zugchain_signals::analysis::Timeline;
 use zugchain_signals::Request;
-use zugchain_wire::{decode_seq, encode_seq, Decode, Encode, Reader, TrainId, WireError, Writer};
+use zugchain_wire::TrainId;
 
 use crate::bundle::AuditBundle;
 use crate::index::{ArchiveIndex, EventKind, RequestLocation};
@@ -40,8 +38,6 @@ use crate::segment::{block_leaves, Segment, SegmentViolation};
 
 /// Magic prefix of a segment (`.zas`) file.
 pub const SEGMENT_MAGIC: &[u8; 4] = b"ZGS1";
-/// Magic prefix of the index summary (`index.zai`) file.
-pub const INDEX_MAGIC: &[u8; 4] = b"ZGI1";
 
 /// Why a certified segment was refused at ingestion.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,35 +120,86 @@ pub struct RecoveryReport {
     /// Sequence numbers whose files were damaged, gapped, discontinuous,
     /// or unverifiable and were deleted.
     pub segments_discarded: Vec<u64>,
-    /// Whether the index summary was missing, corrupt, or divergent and
-    /// had to be rebuilt from the segments.
-    pub index_rebuilt: bool,
 }
 
-/// One line of the on-disk index summary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct IndexEntry {
-    seq: u64,
-    last_height: u64,
-    head_hash: Digest,
+/// Frames `body` as `magic ‖ SHA-256(body) ‖ body`, the byte shape of
+/// every archive file (`.zas` segments and `.zab` bundles). The digest
+/// catches torn or damaged bytes; it proves nothing about who wrote them.
+pub(crate) fn frame(magic: &[u8; 4], body: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(magic.len() + 32 + body.len());
+    out.extend_from_slice(magic);
+    out.extend_from_slice(Digest::of(body).as_bytes());
+    out.extend_from_slice(body);
+    out
 }
 
-impl Encode for IndexEntry {
-    fn encode(&self, w: &mut Writer) {
-        w.write_u64(self.seq);
-        w.write_u64(self.last_height);
-        self.head_hash.encode(w);
+/// The body of bytes [`frame`]d under `magic`.
+///
+/// # Errors
+///
+/// [`io::ErrorKind::InvalidData`] if the bytes are truncated, carry
+/// another magic, or fail the digest.
+pub(crate) fn unframe<'a>(raw: &'a [u8], magic: &[u8; 4]) -> io::Result<&'a [u8]> {
+    if raw.len() < magic.len() + 32 {
+        return Err(invalid_data("truncated"));
+    }
+    let (found, rest) = raw.split_at(magic.len());
+    if found != magic {
+        let expected = String::from_utf8_lossy(magic);
+        return Err(invalid_data(format!("bad magic (expected {expected})")));
+    }
+    let (digest, body) = rest.split_at(32);
+    if Digest::of(body).as_bytes() != digest {
+        return Err(invalid_data("digest mismatch (torn or corrupted write)"));
+    }
+    Ok(body)
+}
+
+pub(crate) fn invalid_data(what: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what.into())
+}
+
+/// Durably writes `body`, [`frame`]d under `magic`, to `path`: write
+/// `path` with its extension replaced by `tmp` and fsync it, so the
+/// bytes are on disk before any name points at them; rename it over
+/// `path`, so a reader sees the old file or the new one, never a torn
+/// mix; fsync the directory, so the rename itself survives a power cut.
+/// Only then does it return `Ok`.
+pub(crate) fn write_record(path: &Path, magic: &[u8; 4], body: &[u8]) -> io::Result<()> {
+    let tmp = path.with_extension("tmp");
+    {
+        let mut file = fs::File::create(&tmp)?;
+        file.write_all(&frame(magic, body))?;
+        file.sync_all()?;
+    }
+    fs::rename(&tmp, path)?;
+    sync_dir(parent_dir(path))
+}
+
+/// The directory holding `path` (`.` for a bare file name).
+fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => parent,
+        _ => Path::new("."),
     }
 }
 
-impl Decode for IndexEntry {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(IndexEntry {
-            seq: r.read_u64()?,
-            last_height: r.read_u64()?,
-            head_hash: Digest::decode(r)?,
-        })
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    fs::File::open(dir)?.sync_all()
+}
+
+/// Creates `dir` and any missing ancestors, fsyncing the parent of each
+/// directory it creates so the new entry survives a power cut.
+pub(crate) fn create_dir_durably(dir: &Path) -> io::Result<()> {
+    if dir.is_dir() {
+        return Ok(());
     }
+    let parent = parent_dir(dir);
+    if parent != dir {
+        create_dir_durably(parent)?;
+    }
+    fs::create_dir_all(dir)?;
+    sync_dir(parent)
 }
 
 /// Durable segment files under one directory.
@@ -164,7 +211,7 @@ struct SegmentStore {
 impl SegmentStore {
     fn open(dir: impl AsRef<Path>) -> io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
-        fs::create_dir_all(&dir)?;
+        create_dir_durably(&dir)?;
         Ok(Self { dir })
     }
 
@@ -172,38 +219,8 @@ impl SegmentStore {
         self.dir.join(format!("seg-{seq:010}.zas"))
     }
 
-    fn index_path(&self) -> PathBuf {
-        self.dir.join("index.zai")
-    }
-
-    fn write_record(path: &Path, magic: &[u8; 4], body: &[u8]) -> io::Result<()> {
-        let tmp = path.with_extension("tmp");
-        {
-            let mut file = fs::File::create(&tmp)?;
-            file.write_all(magic)?;
-            file.write_all(Digest::of(body).as_bytes())?;
-            file.write_all(body)?;
-            file.sync_all()?;
-        }
-        fs::rename(&tmp, path)
-    }
-
-    fn read_record(path: &Path, magic: &[u8; 4]) -> io::Result<Vec<u8>> {
-        let raw = fs::read(path)?;
-        let invalid = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
-        if raw.len() < 36 || &raw[..4] != magic {
-            return Err(invalid("bad magic"));
-        }
-        let stored = Digest::from_bytes(raw[4..36].try_into().expect("length checked"));
-        let body = &raw[36..];
-        if Digest::of(body) != stored {
-            return Err(invalid("digest mismatch (torn or corrupted write)"));
-        }
-        Ok(body.to_vec())
-    }
-
     fn write_segment(&self, segment: &Segment) -> io::Result<()> {
-        Self::write_record(
+        write_record(
             &self.segment_path(segment.header.seq),
             SEGMENT_MAGIC,
             &zugchain_wire::to_bytes(segment),
@@ -211,13 +228,9 @@ impl SegmentStore {
     }
 
     fn read_segment(&self, seq: u64) -> io::Result<Segment> {
-        let body = Self::read_record(&self.segment_path(seq), SEGMENT_MAGIC)?;
-        zugchain_wire::from_bytes(&body).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("undecodable segment: {e}"),
-            )
-        })
+        let raw = fs::read(self.segment_path(seq))?;
+        zugchain_wire::from_bytes(unframe(&raw, SEGMENT_MAGIC)?)
+            .map_err(|e| invalid_data(format!("undecodable segment: {e}")))
     }
 
     fn remove_segment(&self, seq: u64) -> io::Result<()> {
@@ -228,37 +241,27 @@ impl SegmentStore {
         }
     }
 
-    fn seqs(&self) -> io::Result<Vec<u64>> {
+    /// The segment seqs on disk, ascending. Deletes on the way what no
+    /// recovery keeps: `seg-*.tmp` files of interrupted writes and the
+    /// `index.zai` summary of older builds.
+    fn scan(&self) -> io::Result<Vec<u64>> {
         let mut seqs = Vec::new();
         for entry in fs::read_dir(&self.dir)? {
-            let name = entry?.file_name();
+            let entry = entry?;
+            let name = entry.file_name();
             let name = name.to_string_lossy();
-            if let Some(number) = name
+            if name == "index.zai" || (name.starts_with("seg-") && name.ends_with(".tmp")) {
+                fs::remove_file(entry.path())?;
+            } else if let Some(Ok(seq)) = name
                 .strip_prefix("seg-")
                 .and_then(|s| s.strip_suffix(".zas"))
+                .map(str::parse)
             {
-                if let Ok(seq) = number.parse() {
-                    seqs.push(seq);
-                }
+                seqs.push(seq);
             }
         }
         seqs.sort_unstable();
         Ok(seqs)
-    }
-
-    fn write_summary(&self, entries: &[IndexEntry]) -> io::Result<()> {
-        let mut w = Writer::new();
-        encode_seq(entries, &mut w);
-        Self::write_record(&self.index_path(), INDEX_MAGIC, w.as_bytes())
-    }
-
-    /// Reads the summary; `Ok(None)` means missing or unusable (any
-    /// corruption is treated as "needs rebuild", never as fatal).
-    fn read_summary(&self) -> Option<Vec<IndexEntry>> {
-        let body = Self::read_record(&self.index_path(), INDEX_MAGIC).ok()?;
-        let mut r = Reader::new(&body);
-        let entries = decode_seq(&mut r).ok()?;
-        r.is_empty().then_some(entries)
     }
 }
 
@@ -364,9 +367,11 @@ impl Archive {
         self.telemetry = telemetry.clone();
     }
 
-    /// Opens (creating if necessary) a durable archive at `dir`,
-    /// recovering the longest verified segment prefix from whatever the
-    /// directory contains.
+    /// Opens (creating if necessary, with its parent fsynced) a durable
+    /// archive at `dir`, recovering the longest verified segment prefix
+    /// from whatever the directory contains. Afterwards its segment
+    /// files are exactly the recovered segments, with no tmp file or
+    /// stale summary beside them.
     ///
     /// # Errors
     ///
@@ -399,7 +404,7 @@ impl Archive {
         // failure truncates the rest.
         let mut segments: Vec<Segment> = Vec::new();
         let mut damaged = false;
-        for seq in storage.seqs()? {
+        for seq in storage.scan()? {
             if !damaged {
                 let expected_seq = segments.len() as u64;
                 let continuous = |segment: &Segment| match segments.last() {
@@ -427,20 +432,6 @@ impl Archive {
             report.segments_discarded.push(seq);
         }
         report.segments_recovered = segments.len();
-
-        // The summary only detects divergence; segments always win.
-        let expected: Vec<IndexEntry> = segments
-            .iter()
-            .map(|s| IndexEntry {
-                seq: s.header.seq,
-                last_height: s.header.last_height,
-                head_hash: s.header.head_hash,
-            })
-            .collect();
-        if storage.read_summary().as_deref() != Some(&expected[..]) {
-            storage.write_summary(&expected)?;
-            report.index_rebuilt = true;
-        }
 
         let mut index = ArchiveIndex::new();
         for segment in &segments {
@@ -506,15 +497,17 @@ impl Archive {
     /// The segment must extend the current head exactly (the archive is
     /// append-only); it is fully re-verified — chain linkage, pruned-base
     /// continuity, and the 2f+1 checkpoint certificate — before anything
-    /// is persisted or indexed. Persistence is segment file first, then
-    /// index summary, then in-memory state, so a crash at any point leaves
-    /// a directory [`Archive::open`] recovers cleanly.
+    /// is persisted or indexed. On a durable archive the segment's one
+    /// file is on disk, renamed and its directory fsynced before the
+    /// in-memory state changes, so an `Ok` segment survives a power cut
+    /// and a crash at any point leaves a directory [`Archive::open`]
+    /// recovers cleanly.
     ///
     /// # Errors
     ///
-    /// See [`IngestError`]; on error the archive is unchanged (except
-    /// possibly an orphaned next-seq segment file on a summary-write
-    /// failure, which recovery reconciles).
+    /// See [`IngestError`]; on error the in-memory archive is unchanged.
+    /// A file a failed write left behind is replaced by the next ingest
+    /// of that seq, or removed or re-verified by [`Archive::open`].
     pub fn ingest(&mut self, certified: &CertifiedSegment) -> Result<u64, IngestError> {
         let started = std::time::Instant::now();
         let result = self.ingest_inner(certified);
@@ -621,20 +614,6 @@ impl Archive {
         if let Some(storage) = &self.storage {
             storage
                 .write_segment(&segment)
-                .map_err(|e| IngestError::Io(e.to_string()))?;
-            let mut entries: Vec<IndexEntry> = self
-                .segments
-                .iter()
-                .chain(std::iter::once(&segment))
-                .map(|s| IndexEntry {
-                    seq: s.header.seq,
-                    last_height: s.header.last_height,
-                    head_hash: s.header.head_hash,
-                })
-                .collect();
-            entries.sort_unstable_by_key(|e| e.seq);
-            storage
-                .write_summary(&entries)
                 .map_err(|e| IngestError::Io(e.to_string()))?;
         }
 
@@ -848,9 +827,9 @@ impl QueryEngine {
             .set_telemetry(telemetry);
     }
 
-    /// Ingests a certified segment (writer-isolated; readers block only
-    /// for the in-memory swap, not for verification I/O done under the
-    /// same lock here for simplicity).
+    /// Ingests a certified segment under the write lock, held across
+    /// verification, the fsyncs and the index update, so readers wait
+    /// for the whole ingest and never see a half-ingested segment.
     ///
     /// # Errors
     ///

@@ -18,7 +18,7 @@
 //! for internal consistency but is not what makes the block court-proof.
 
 use std::fmt;
-use std::io::{self, Read as _, Write as _};
+use std::io;
 use std::path::Path;
 
 use zugchain_blockchain::{Block, BlockHeader};
@@ -26,6 +26,7 @@ use zugchain_crypto::{Digest, Keystore};
 use zugchain_pbft::CheckpointProof;
 use zugchain_wire::{decode_seq, encode_seq, Decode, Encode, Reader, TrainId, WireError, Writer};
 
+use crate::archive::{frame, invalid_data, unframe, write_record};
 use crate::merkle::{leaf_digest, MerklePath};
 
 /// Magic prefix of an audit-bundle (`.zab`) file.
@@ -164,12 +165,7 @@ impl AuditBundle {
     /// a `.zab` file *and* of the serving layer's bundle download, so a
     /// bundle fetched over HTTP pipes straight into `zugchain-audit -`.
     pub fn to_zab_bytes(&self) -> Vec<u8> {
-        let body = zugchain_wire::to_bytes(self);
-        let mut out = Vec::with_capacity(BUNDLE_MAGIC.len() + 32 + body.len());
-        out.extend_from_slice(BUNDLE_MAGIC);
-        out.extend_from_slice(Digest::of(&body).as_bytes());
-        out.extend_from_slice(&body);
-        out
+        frame(BUNDLE_MAGIC, &zugchain_wire::to_bytes(self))
     }
 
     /// Decodes `.zab` framing produced by [`AuditBundle::to_zab_bytes`],
@@ -179,31 +175,21 @@ impl AuditBundle {
     ///
     /// [`io::ErrorKind::InvalidData`] on any mismatch.
     pub fn from_zab_bytes(raw: &[u8]) -> io::Result<Self> {
-        let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-        if raw.len() < BUNDLE_MAGIC.len() + 32 {
-            return Err(invalid("bundle file truncated".into()));
-        }
-        let (magic, rest) = raw.split_at(BUNDLE_MAGIC.len());
-        if magic != BUNDLE_MAGIC {
-            return Err(invalid("not an audit bundle (bad magic)".into()));
-        }
-        let (checksum, body) = rest.split_at(32);
-        if Digest::of(body).as_bytes() != checksum {
-            return Err(invalid("bundle checksum mismatch".into()));
-        }
-        zugchain_wire::from_bytes(body).map_err(|e| invalid(format!("bundle malformed: {e}")))
+        let body = unframe(raw, BUNDLE_MAGIC)
+            .map_err(|e| invalid_data(format!("not an intact audit bundle: {e}")))?;
+        zugchain_wire::from_bytes(body).map_err(|e| invalid_data(format!("bundle malformed: {e}")))
     }
 
-    /// Serializes the bundle into a `.zab` file
-    /// (see [`AuditBundle::to_zab_bytes`]).
+    /// Durably writes the bundle as a `.zab` file
+    /// (see [`AuditBundle::to_zab_bytes`]) the way the archive writes a
+    /// segment: a power cut leaves the old file or the new one, and the
+    /// new one is on disk once this returns `Ok`.
     ///
     /// # Errors
     ///
     /// Any underlying I/O error.
     pub fn write_to(&self, path: &Path) -> io::Result<()> {
-        let mut file = std::fs::File::create(path)?;
-        file.write_all(&self.to_zab_bytes())?;
-        file.sync_all()
+        write_record(path, BUNDLE_MAGIC, &zugchain_wire::to_bytes(self))
     }
 
     /// Reads a bundle back from a `.zab` file, checking magic, checksum,
@@ -214,9 +200,7 @@ impl AuditBundle {
     /// [`io::ErrorKind::InvalidData`] on any mismatch, or the underlying
     /// I/O error.
     pub fn read_from(path: &Path) -> io::Result<Self> {
-        let mut raw = Vec::new();
-        std::fs::File::open(path)?.read_to_end(&mut raw)?;
-        Self::from_zab_bytes(&raw)
+        Self::from_zab_bytes(&std::fs::read(path)?)
     }
 }
 

@@ -12,9 +12,9 @@
 //! from train A never contends with ingest from train B (the
 //! [`IngestLock::Global`] mode exists only as a benchmark baseline to
 //! quantify exactly that). On disk each shard lives under
-//! `root/trains/<id>/` with its own segment files and index summary, so
-//! crash recovery runs per train and one corrupted shard cannot take
-//! down another's data.
+//! `root/trains/<id>/` with its own segment files, so crash recovery
+//! runs per train and one corrupted shard cannot take down another's
+//! data.
 //!
 //! # Cross-train index
 //!
@@ -36,7 +36,7 @@ use zugchain_signals::analysis::Timeline;
 use zugchain_signals::Request;
 use zugchain_wire::TrainId;
 
-use crate::archive::{Archive, IngestError, RecoveryReport};
+use crate::archive::{create_dir_durably, Archive, IngestError, RecoveryReport};
 use crate::bundle::AuditBundle;
 
 /// How fleet ingest serializes concurrent callers.
@@ -112,7 +112,7 @@ impl FleetArchive {
     /// Any I/O error creating the root directory.
     pub fn open(root: impl AsRef<Path>, quorum: usize) -> io::Result<Self> {
         let root = root.as_ref().to_path_buf();
-        std::fs::create_dir_all(root.join("trains"))?;
+        create_dir_durably(&root.join("trains"))?;
         Ok(Self::build(Some(root), quorum))
     }
 

@@ -11,9 +11,10 @@
 //!   for chain linkage, continuity with the pruned base, and a 2f+1
 //!   checkpoint certificate ([`Segment::verify`]); the archive never
 //!   trusts the export pipeline, only the replicas' signatures;
-//! * **stores durably** — append-only segment files with the same
-//!   magic/digest/tmp-rename discipline as the on-train `DiskStore`, and
-//!   restart recovery to the longest *verified* prefix ([`Archive::open`]);
+//! * **stores durably** — one append-only file per segment, framed
+//!   magic ‖ SHA-256 ‖ body and written tmp, fsync, rename, directory
+//!   fsync before ingest returns, and restart recovery to the longest
+//!   *verified* prefix ([`Archive::open`]);
 //! * **answers queries** — by sequence number, time range, and decoded
 //!   signal-event kind ([`EventKind`]), feeding the timeline
 //!   reconstruction in `zugchain-signals`; a [`QueryEngine`] handle
@@ -34,9 +35,7 @@ pub mod keyfile;
 mod merkle;
 mod segment;
 
-pub use archive::{
-    Archive, BlockInfo, IngestError, QueryEngine, RecoveryReport, INDEX_MAGIC, SEGMENT_MAGIC,
-};
+pub use archive::{Archive, BlockInfo, IngestError, QueryEngine, RecoveryReport, SEGMENT_MAGIC};
 pub use bundle::{AuditBundle, AuditError, BUNDLE_MAGIC};
 pub use fleet::{FleetArchive, IngestLock};
 pub use index::{ArchiveIndex, EventKind, RequestLocation};

@@ -20,6 +20,21 @@ fn seg_path(dir: &std::path::Path, seq: u64) -> PathBuf {
     dir.join(format!("seg-{seq:010}.zas"))
 }
 
+/// The file names in `dir`, sorted.
+fn listing(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+/// The names of segment files `0..n`, in order.
+fn segment_names(n: u64) -> Vec<String> {
+    (0..n).map(|seq| format!("seg-{seq:010}.zas")).collect()
+}
+
 /// Populates a fresh on-disk archive with `n` verified segments.
 fn populated(tag: &str, n: usize) -> (PathBuf, zugchain_crypto::Keystore, usize) {
     let (pairs, keystore) = keys();
@@ -44,7 +59,6 @@ fn clean_reopen_is_lossless() {
     let (archive, report) = Archive::open(&dir, keystore, QUORUM).unwrap();
     assert_eq!(report.segments_recovered, 4);
     assert!(report.segments_discarded.is_empty());
-    assert!(!report.index_rebuilt, "summary on disk already matched");
     assert_eq!(archive.segment_count(), 4);
     assert_eq!(archive.request_count(), requests);
 }
@@ -60,10 +74,6 @@ fn torn_final_segment_is_truncated() {
     let (archive, report) = Archive::open(&dir, keystore.clone(), QUORUM).unwrap();
     assert_eq!(report.segments_recovered, 2);
     assert_eq!(report.segments_discarded, vec![2]);
-    assert!(
-        report.index_rebuilt,
-        "summary still listed the torn segment"
-    );
     assert_eq!(archive.segment_count(), 2);
     // The torn file is gone; a second restart is clean and idempotent.
     assert!(!path.exists());
@@ -103,27 +113,28 @@ fn bitflip_inside_a_segment_is_caught_by_the_checksum() {
 }
 
 #[test]
-fn divergent_index_summary_is_rebuilt_from_segments() {
-    let (dir, keystore, requests) = populated("diverge", 3);
-    // Corrupt the summary: flip a byte inside its body. Segments carry
-    // quorum certificates, the summary does not — segments must win.
-    let path = dir.join("index.zai");
-    let mut raw = fs::read(&path).unwrap();
-    let last = raw.len() - 1;
-    raw[last] ^= 0xFF;
-    fs::write(&path, raw).unwrap();
+fn ingest_writes_only_segment_files() {
+    // One file per ingest, whatever the archive's size: no summary, no
+    // leftover tmp file.
+    let (dir, _, _) = populated("only-segments", 5);
+    assert_eq!(listing(&dir), segment_names(5));
+}
 
-    let (archive, report) = Archive::open(&dir, keystore.clone(), QUORUM).unwrap();
+#[test]
+fn stale_summary_and_tmp_files_are_removed_at_open() {
+    let (dir, keystore, requests) = populated("stale", 3);
+    // An older build's summary, here garbage, and the tmp file of a
+    // segment write cut before its rename.
+    fs::write(dir.join("index.zai"), b"ZGI1 not a summary").unwrap();
+    let raw = fs::read(seg_path(&dir, 2)).unwrap();
+    fs::write(dir.join("seg-0000000003.tmp"), &raw[..raw.len() / 2]).unwrap();
+
+    let (archive, report) = Archive::open(&dir, keystore, QUORUM).unwrap();
     assert_eq!(report.segments_recovered, 3);
     assert!(report.segments_discarded.is_empty());
-    assert!(report.index_rebuilt);
+    assert_eq!(archive.segment_count(), 3);
     assert_eq!(archive.request_count(), requests);
-
-    // Deleting the summary outright is equally recoverable.
-    fs::remove_file(&path).unwrap();
-    let (_, report) = Archive::open(&dir, keystore, QUORUM).unwrap();
-    assert!(report.index_rebuilt);
-    assert!(path.exists(), "summary rewritten on recovery");
+    assert_eq!(listing(&dir), segment_names(3));
 }
 
 #[test]

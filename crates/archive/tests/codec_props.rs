@@ -109,4 +109,9 @@ fn bundle_codec_rejects_truncation_through_file_io() {
         std::fs::write(&path, &raw[..cut]).unwrap();
         assert!(AuditBundle::read_from(&path).is_err(), "cut at {cut}");
     }
+
+    // Rewriting replaces the torn file whole and leaves no tmp file.
+    bundle.write_to(&path).unwrap();
+    assert_eq!(std::fs::read(&path).unwrap(), raw);
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
 }
