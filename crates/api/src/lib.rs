@@ -26,6 +26,7 @@
 //! keep-alive [`HttpClient`] drives load tests and smoke jobs.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod auth;
 pub mod cache;

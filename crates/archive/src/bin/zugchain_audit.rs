@@ -25,6 +25,8 @@
 //! Exit status 0 iff every bundle verifies (and matches the requested
 //! train, when one is in effect).
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -26,6 +26,7 @@
 //!   nothing but the replica public keys ([`keyfile`]).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod archive;
 mod bundle;

@@ -25,6 +25,8 @@
 //! `--quick` shortens runs for smoke testing; `--paper` uses the paper's
 //! full 5-minute × 5-run protocol.
 
+#![forbid(unsafe_code)]
+
 use zugchain_bench::{
     fmt, row, run_averaged, run_pair, CYCLE_SWEEP_MS, EXPORT_BLOCK_COUNTS, FABRICATE_RATES,
     PAYLOAD_SWEEP_BYTES,

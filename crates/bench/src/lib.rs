@@ -5,6 +5,7 @@
 //! benches under `benches/` measure the building blocks on the host CPU.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use zugchain_sim::{run_scenario, Mode, RunMetrics, ScenarioConfig};
 

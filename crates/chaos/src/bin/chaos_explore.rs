@@ -13,6 +13,8 @@
 //! violations — this is how the harness's own detection power is
 //! smoke-tested).
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;

@@ -1,32 +1,21 @@
-//! Batched signature verification over a small worker pool.
+//! Verification of a batch of signatures with a per-item answer.
 //!
-//! Consensus verifies signatures in bursts — a round's worth of buffered
-//! prepare votes at quorum time, the view-change votes inside a NewView —
-//! and each verification is independent of the others. [`verify_batch`]
-//! fans a slice of `(public key, message, signature)` items across a few
-//! persistent worker threads and merges the per-item results into one
-//! deterministic [`BatchOutcome`]: the outcome depends only on the items,
-//! never on worker count, chunk boundaries, or scheduling order, because
-//! every item is verified independently and failures are reported by
-//! input index in sorted order.
+//! Consensus verifies the view-change votes inside a NewView as one
+//! batch. [`verify_batch`] checks every `(public key, message,
+//! signature)` item on the calling thread and reports failures by input
+//! index in ascending order, so the [`BatchOutcome`] depends only on the
+//! items. At the deployment shape (n ≤ 7, so at most 2f+1 = 5 votes) a
+//! batch is a few microseconds of hashing, less than handing it to
+//! another thread would cost.
 //!
 //! The all-or-nothing answer is [`BatchOutcome::all_valid`]; callers that
 //! need per-item fallback (drop the one bad vote, keep the rest) read
 //! [`BatchOutcome::invalid`].
 
-use std::sync::{Mutex, OnceLock};
-use std::thread;
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
-
 use crate::{PublicKey, Signature};
 
 /// One verification work item: `(signer, message bytes, signature)`.
 pub type BatchItem = (PublicKey, Vec<u8>, Signature);
-
-/// Below this many items the channel round-trip costs more than it saves,
-/// so the batch is verified inline on the calling thread.
-const PARALLEL_THRESHOLD: usize = 8;
 
 /// The deterministic result of a batch verification.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,132 +40,15 @@ impl BatchOutcome {
     }
 }
 
-struct Job {
-    base: usize,
-    items: Vec<BatchItem>,
-}
-
-struct JobResult {
-    invalid: Vec<usize>,
-}
-
-fn verify_chunk(base: usize, items: &[BatchItem]) -> Vec<usize> {
-    items
+/// Verifies every item, returning which indices failed.
+pub fn verify_batch(items: &[BatchItem]) -> BatchOutcome {
+    let invalid = items
         .iter()
         .enumerate()
         .filter(|(_, (key, message, signature))| key.verify(message, signature).is_err())
-        .map(|(i, _)| base + i)
-        .collect()
-}
-
-/// A pool of persistent verification workers.
-///
-/// Most callers should use the module-level [`verify_batch`], which
-/// shares one process-wide pool; constructing a `BatchVerifier` directly
-/// is for tests (pinning the worker count) and long-lived components
-/// that want a dedicated pool.
-pub struct BatchVerifier {
-    jobs: Vec<Sender<Job>>,
-    results: Mutex<Receiver<JobResult>>,
-    handles: Vec<thread::JoinHandle<()>>,
-}
-
-impl BatchVerifier {
-    /// Spawns a pool with `workers` threads (clamped to at least 1).
-    pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
-        let (result_tx, result_rx) = unbounded::<JobResult>();
-        let mut jobs = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (job_tx, job_rx) = unbounded::<Job>();
-            let results = result_tx.clone();
-            handles.push(thread::spawn(move || {
-                while let Ok(job) = job_rx.recv() {
-                    let invalid = verify_chunk(job.base, &job.items);
-                    if results.send(JobResult { invalid }).is_err() {
-                        break;
-                    }
-                }
-            }));
-            jobs.push(job_tx);
-        }
-        BatchVerifier {
-            jobs,
-            results: Mutex::new(result_rx),
-            handles,
-        }
-    }
-
-    /// Number of worker threads in the pool.
-    pub fn workers(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// Verifies every item, returning which indices failed.
-    ///
-    /// The result is a pure function of `items`: small batches verify
-    /// inline, large ones are split into contiguous chunks across the
-    /// workers, and the merged failure list is sorted by input index
-    /// either way.
-    pub fn verify(&self, items: &[BatchItem]) -> BatchOutcome {
-        if items.len() < PARALLEL_THRESHOLD || self.jobs.len() <= 1 {
-            return BatchOutcome {
-                invalid: verify_chunk(0, items),
-            };
-        }
-
-        // Hold the result receiver for the whole dispatch + collect so
-        // concurrent calls cannot interleave each other's results.
-        let results = self.results.lock().expect("verifier pool poisoned");
-        let chunk_len = items.len().div_ceil(self.jobs.len());
-        let mut outstanding = 0;
-        for (chunk_index, chunk) in items.chunks(chunk_len).enumerate() {
-            let job = Job {
-                base: chunk_index * chunk_len,
-                items: chunk.to_vec(),
-            };
-            self.jobs[chunk_index % self.jobs.len()]
-                .send(job)
-                .expect("verifier worker exited");
-            outstanding += 1;
-        }
-
-        let mut invalid = Vec::new();
-        for _ in 0..outstanding {
-            let result = results.recv().expect("verifier worker exited");
-            invalid.extend(result.invalid);
-        }
-        invalid.sort_unstable();
-        BatchOutcome { invalid }
-    }
-}
-
-impl Drop for BatchVerifier {
-    fn drop(&mut self) {
-        // Dropping the job senders ends each worker's recv loop.
-        self.jobs.clear();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn shared_pool() -> &'static BatchVerifier {
-    static POOL: OnceLock<BatchVerifier> = OnceLock::new();
-    POOL.get_or_init(|| {
-        let workers = thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .clamp(1, 4);
-        BatchVerifier::new(workers)
-    })
-}
-
-/// Verifies a batch of `(public key, message, signature)` items on the
-/// shared process-wide worker pool.
-pub fn verify_batch(items: &[BatchItem]) -> BatchOutcome {
-    shared_pool().verify(items)
+        .map(|(i, _)| i)
+        .collect();
+    BatchOutcome { invalid }
 }
 
 #[cfg(test)]
@@ -225,29 +97,8 @@ mod tests {
 
     #[test]
     fn small_batch_takes_inline_path() {
-        // Below the parallel threshold: still correct, still sorted.
+        // A NewView-sized batch: still correct, still sorted.
         let outcome = verify_batch(&items(3, &[1]));
         assert_eq!(outcome.invalid(), &[1]);
-    }
-
-    #[test]
-    fn outcome_is_independent_of_worker_count() {
-        let batch = items(33, &[0, 8, 32]);
-        let expected = BatchVerifier::new(1).verify(&batch);
-        for workers in [2, 3, 4, 7] {
-            let pool = BatchVerifier::new(workers);
-            assert_eq!(pool.verify(&batch), expected, "workers={workers}");
-        }
-        assert_eq!(expected.invalid(), &[0, 8, 32]);
-    }
-
-    #[test]
-    fn pool_survives_many_rounds() {
-        let pool = BatchVerifier::new(2);
-        for round in 0..10 {
-            let corrupt = if round % 2 == 0 { vec![round] } else { vec![] };
-            let outcome = pool.verify(&items(12, &corrupt));
-            assert_eq!(outcome.invalid(), corrupt.as_slice(), "round {round}");
-        }
     }
 }

@@ -21,13 +21,14 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod batch;
 mod digest;
 mod keys;
 mod keystore;
 
-pub use batch::{verify_batch, BatchItem, BatchOutcome, BatchVerifier};
+pub use batch::{verify_batch, BatchItem, BatchOutcome};
 pub use digest::Digest;
 pub use keys::{KeyPair, PublicKey, Signature, SignatureError};
 pub use keystore::Keystore;

@@ -1,12 +1,11 @@
-//! Property tests for the batched signature verifier: the outcome of
+//! Property tests for batch signature verification: the outcome of
 //! [`verify_batch`] is a pure function of the *set* of items — it must
-//! not depend on how many workers the pool runs, nor on the order the
-//! items are presented in. Whatever mix of valid and corrupted
-//! signatures the generator produces, every worker count and every
+//! not depend on the order the items are presented in. Whatever mix of
+//! valid and corrupted signatures the generator produces, every
 //! permutation must flag exactly the corrupted items.
 
 use proptest::prelude::*;
-use zugchain_crypto::{BatchItem, BatchVerifier, KeyPair};
+use zugchain_crypto::{verify_batch, BatchItem, KeyPair};
 
 /// Builds `n` items from independently seeded keypairs; items whose
 /// index is in `corrupt` get a signature over different bytes than the
@@ -68,32 +67,26 @@ proptest! {
         let (items, expected_invalid) = build_items(n, seed, &corrupt);
         let (shuffled, position_of) = shuffle(&items, order_seed);
 
-        for workers in [1usize, 2, 4] {
-            let verifier = BatchVerifier::new(workers);
+        let outcome = verify_batch(&items);
+        prop_assert_eq!(
+            outcome.invalid(),
+            &expected_invalid[..],
+            "invalid set in presentation order"
+        );
+        prop_assert_eq!(outcome.all_valid(), expected_invalid.is_empty());
 
-            let outcome = verifier.verify(&items);
-            prop_assert_eq!(
-                outcome.invalid(),
-                &expected_invalid[..],
-                "workers={}: invalid set in presentation order",
-                workers
-            );
-            prop_assert_eq!(outcome.all_valid(), expected_invalid.is_empty());
-
-            // The same items shuffled: the invalid *positions* move with
-            // the permutation, the invalid *items* are identical.
-            let shuffled_outcome = verifier.verify(&shuffled);
-            let mut expected_shuffled: Vec<usize> = expected_invalid
-                .iter()
-                .map(|&original| position_of[original])
-                .collect();
-            expected_shuffled.sort_unstable();
-            prop_assert_eq!(
-                shuffled_outcome.invalid(),
-                &expected_shuffled[..],
-                "workers={}: invalid set under permutation",
-                workers
-            );
-        }
+        // The same items shuffled: the invalid *positions* move with the
+        // permutation, the invalid *items* are identical.
+        let shuffled_outcome = verify_batch(&shuffled);
+        let mut expected_shuffled: Vec<usize> = expected_invalid
+            .iter()
+            .map(|&original| position_of[original])
+            .collect();
+        expected_shuffled.sort_unstable();
+        prop_assert_eq!(
+            shuffled_outcome.invalid(),
+            &expected_shuffled[..],
+            "invalid set under permutation"
+        );
     }
 }

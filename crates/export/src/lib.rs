@@ -36,6 +36,7 @@
 //! provide transport.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod datacenter;
 mod messages;

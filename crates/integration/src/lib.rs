@@ -2,3 +2,4 @@
 //! it intentionally contains no code of its own.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]

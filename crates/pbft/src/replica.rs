@@ -3,7 +3,7 @@ use std::collections::{BTreeMap, VecDeque};
 use zugchain_crypto::{verify_batch, BatchItem, Digest, KeyPair, Keystore, Signature};
 use zugchain_machine::{Effect, Machine};
 use zugchain_telemetry::{Counter, Gauge, Histogram, Span, Stage, Telemetry};
-use zugchain_wire::{derive_span_id, derive_trace_id};
+use zugchain_wire::{derive_trace_id, SpanIds};
 
 use crate::messages::Commit;
 use crate::{
@@ -159,6 +159,28 @@ struct Slot {
     t_accept: u64,
     t_prepared: u64,
     t_committed: u64,
+    /// Trace state of the accepted batch's application requests, built
+    /// once on accept (empty when telemetry is disabled).
+    traced: Vec<TracedRequest>,
+}
+
+/// One application request of an accepted batch as its trace sees it:
+/// its span ids, derived from the trace id once when the preprepare is
+/// accepted, and the id of this node's latest span for it, which
+/// parents its next one.
+#[derive(Debug, Clone, Copy)]
+struct TracedRequest {
+    sn: u64,
+    ids: SpanIds,
+    span_id: u64,
+}
+
+/// A request waiting in the primary's backlog, with the trace-clock
+/// reading at which it entered (the start of its `batch_flush` span).
+#[derive(Debug)]
+struct BacklogEntry {
+    request: ProposedRequest,
+    entered_ms: u64,
 }
 
 impl Slot {
@@ -269,7 +291,7 @@ pub struct Replica {
     /// Primary only: next sequence number to assign.
     next_sn: u64,
     /// Primary only: proposals waiting for watermark headroom.
-    backlog: VecDeque<ProposedRequest>,
+    backlog: VecDeque<BacklogEntry>,
     /// Last stable checkpoint sequence number (low watermark).
     low_watermark: u64,
     /// All decides up to this sequence number have been emitted.
@@ -300,11 +322,6 @@ pub struct Replica {
     /// Span-emission handle (disabled by default: every causal-tracing
     /// site is a single branch when observability is off).
     telemetry: Telemetry,
-    /// Trace-clock reading at which each open proposal entered this
-    /// primary's backlog, keyed by payload digest — the start of its
-    /// `batch_flush` span. Only populated when telemetry is enabled;
-    /// entries are consumed at flush and swept at decide.
-    proposed_at: BTreeMap<Digest, u64>,
     /// Mutation hook (chaos harness only): when set, this replica
     /// equivocates as primary — see [`Replica::enable_equivocation_bug`].
     #[cfg(feature = "mutation-hooks")]
@@ -347,7 +364,6 @@ impl Replica {
             stats: ReplicaStats::default(),
             metrics: ReplicaMetrics::default(),
             telemetry: Telemetry::disabled(),
-            proposed_at: BTreeMap::new(),
             #[cfg(feature = "mutation-hooks")]
             equivocate: false,
         }
@@ -496,7 +512,11 @@ impl Replica {
                     + (slot.prepares.len() + slot.commits.len()) * 104
             })
             .sum();
-        let backlog_bytes: usize = self.backlog.iter().map(|r| r.payload.len() + 64).sum();
+        let backlog_bytes: usize = self
+            .backlog
+            .iter()
+            .map(|entry| entry.request.payload.len() + 64)
+            .sum();
         slot_bytes + backlog_bytes
     }
 
@@ -532,16 +552,11 @@ impl Replica {
     /// unchanged (with a batch size of 1 every proposal is a full batch
     /// and the timer is never armed).
     pub fn propose(&mut self, request: ProposedRequest) {
-        if self.telemetry.is_enabled() && !request.is_noop() {
-            // Start of the request's `batch_flush` span: when it entered
-            // the backlog (clamped forward to its origin bus time so the
-            // per-stage timeline never runs backwards across nodes).
-            let entered = self.telemetry.now_ms().max(request.time_ms);
-            self.proposed_at
-                .entry(request.payload_digest())
-                .or_insert(entered);
-        }
-        self.backlog.push_back(request);
+        let entered_ms = self.telemetry.now_ms();
+        self.backlog.push_back(BacklogEntry {
+            request,
+            entered_ms,
+        });
         if self.is_primary() && !self.in_view_change() {
             self.flush_backlog(false);
         }
@@ -568,16 +583,29 @@ impl Replica {
                 break;
             }
             let take = max.min(self.backlog.len());
-            let batch = ProposedBatch::new(self.backlog.drain(..take).collect());
+            let entered_ms: Vec<u64> = if self.telemetry.is_enabled() {
+                self.backlog
+                    .iter()
+                    .take(take)
+                    .map(|entry| entry.entered_ms)
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            let batch = ProposedBatch::new(
+                self.backlog
+                    .drain(..take)
+                    .map(|entry| entry.request)
+                    .collect(),
+            );
             self.next_sn = base + batch.len() as u64;
             let preprepare = PrePrepare {
                 view: self.view,
                 sn: base,
                 batch,
             };
-            self.trace_batch_flush(&preprepare);
             // Record locally, then broadcast to the backups.
-            self.accept_preprepare(preprepare.clone());
+            self.accept_preprepare(preprepare.clone(), &entered_ms);
             #[cfg(feature = "mutation-hooks")]
             self.maybe_equivocate(&preprepare);
             self.broadcast(Message::PrePrepare(preprepare));
@@ -594,15 +622,51 @@ impl Replica {
 
     /// Emits one `batch_flush` span per application request of the batch
     /// the primary is about to broadcast: start = when the proposal
-    /// entered the backlog, end = now, parented on the origin's `submit`
-    /// span. Single branch when telemetry is disabled.
-    fn trace_batch_flush(&mut self, preprepare: &PrePrepare) {
+    /// entered the backlog (`entered_ms`, in batch order; clamped forward
+    /// to its origin bus time so the per-stage timeline never runs
+    /// backwards across nodes), end = now, parented on the origin's
+    /// `submit` span. `traced` holds the batch's trace state, whose span
+    /// ids on the primary are those `batch_flush` spans.
+    fn trace_batch_flush(
+        &self,
+        preprepare: &PrePrepare,
+        entered_ms: &[u64],
+        traced: &[TracedRequest],
+        now: u64,
+    ) {
+        let train = self.telemetry.train_id();
+        let node = self.id.0;
+        let requests = preprepare.batch.requests();
+        for flushed in traced {
+            let offset = (flushed.sn - preprepare.sn) as usize;
+            let request = &requests[offset];
+            let start = entered_ms[offset].max(request.time_ms);
+            self.telemetry.record(|| Span {
+                trace_id: flushed.ids.trace_id(),
+                span_id: flushed.span_id,
+                parent_span: flushed.ids.derive(Stage::Submit.as_str(), request.origin.0),
+                stage: Stage::BatchFlush,
+                node,
+                train,
+                sn: flushed.sn,
+                start_ms: start,
+                end_ms: now.max(start),
+            });
+        }
+    }
+
+    /// The trace state of every application request of an accepted
+    /// batch: its trace id, derived from `(train, origin, digest)` so
+    /// every node names the same spans without coordination, and, as the
+    /// parent of this node's first span, the primary's `batch_flush`
+    /// span. Empty when telemetry is disabled.
+    fn traced_requests(&self, preprepare: &PrePrepare) -> Vec<TracedRequest> {
         if !self.telemetry.is_enabled() {
-            return;
+            return Vec::new();
         }
         let train = self.telemetry.train_id();
-        let now = self.telemetry.now_ms();
-        let base = preprepare.sn;
+        let primary = self.config.primary_of(preprepare.view).0;
+        let mut traced = Vec::with_capacity(preprepare.batch.len());
         for (offset, (request, digest)) in preprepare
             .batch
             .requests()
@@ -613,82 +677,42 @@ impl Replica {
             if request.is_noop() {
                 continue;
             }
-            let start = self
-                .proposed_at
-                .remove(digest)
-                .unwrap_or(now)
-                .max(request.time_ms);
-            let end = now.max(start);
-            let trace_id = derive_trace_id(train, request.origin.0, digest.as_bytes());
-            let sn = base + offset as u64;
-            let node = self.id.0;
-            self.telemetry.record(|| Span {
-                trace_id,
-                span_id: derive_span_id(trace_id, Stage::BatchFlush.as_str(), node),
-                parent_span: derive_span_id(trace_id, Stage::Submit.as_str(), request.origin.0),
-                stage: Stage::BatchFlush,
-                node,
-                train,
-                sn,
-                start_ms: start,
-                end_ms: end,
+            let ids = SpanIds::new(derive_trace_id(train, request.origin.0, digest.as_bytes()));
+            traced.push(TracedRequest {
+                sn: preprepare.sn + offset as u64,
+                ids,
+                span_id: ids.derive(Stage::BatchFlush.as_str(), primary),
             });
         }
+        traced
     }
 
-    /// `(sn, origin, payload digest)` of every application request in an
-    /// accepted batch — collected while the slot is borrowed so span
-    /// emission can happen after the borrow ends.
-    fn traced_requests(preprepare: &PrePrepare, digests: &[Digest]) -> Vec<(u64, u64, Digest)> {
-        preprepare
-            .batch
-            .requests()
-            .iter()
-            .zip(digests)
-            .enumerate()
-            .filter(|(_, (request, _))| !request.is_noop())
-            .map(|(offset, (request, digest))| {
-                (preprepare.sn + offset as u64, request.origin.0, *digest)
-            })
-            .collect()
-    }
-
-    /// Emits one span per traced request of a slot, deriving ids from
-    /// `(train, origin, digest)` so every node names the same spans
-    /// without coordination. `parent_node` of `None` parents each span
-    /// on the request's own origin node.
+    /// Emits one `stage` span per traced request of a slot, parented on
+    /// the request's previous span, and makes it the parent of the next.
     fn emit_slot_spans(
-        &self,
+        telemetry: &Telemetry,
+        node: u64,
         stage: Stage,
-        parent_stage: Stage,
-        parent_node: Option<u64>,
-        requests: &[(u64, u64, Digest)],
+        requests: &mut [TracedRequest],
         start_ms: u64,
         end_ms: u64,
     ) {
-        if requests.is_empty() {
-            return;
-        }
-        let train = self.telemetry.train_id();
-        let node = self.id.0;
+        let train = telemetry.train_id();
         let end_ms = end_ms.max(start_ms);
-        for &(sn, origin, digest) in requests {
-            let trace_id = derive_trace_id(train, origin, digest.as_bytes());
-            self.telemetry.record(|| Span {
-                trace_id,
-                span_id: derive_span_id(trace_id, stage.as_str(), node),
-                parent_span: derive_span_id(
-                    trace_id,
-                    parent_stage.as_str(),
-                    parent_node.unwrap_or(origin),
-                ),
+        for request in requests {
+            let span_id = request.ids.derive(stage.as_str(), node);
+            telemetry.record(|| Span {
+                trace_id: request.ids.trace_id(),
+                span_id,
+                parent_span: request.span_id,
                 stage,
                 node,
                 train,
-                sn,
+                sn: request.sn,
                 start_ms,
                 end_ms,
             });
+            request.span_id = span_id;
         }
     }
 
@@ -1031,7 +1055,7 @@ impl Replica {
             self.suspect(primary);
             return;
         }
-        let (digest, payload_digests) = self.accept_preprepare(preprepare);
+        let (digest, payload_digests) = self.accept_preprepare(preprepare, &[]);
         for (offset, payload_digest) in payload_digests.into_iter().enumerate() {
             self.effects
                 .push(Effect::Output(ReplicaEvent::PrePrepareSeen {
@@ -1055,32 +1079,37 @@ impl Replica {
     /// Records a preprepare into its slot (primary: own proposal; backup:
     /// accepted proposal), reusing the digests the batch already hashed
     /// (payloads are hashed exactly once, at batch construction or
-    /// decode). Returns the batch digest and the per-request payload
+    /// decode). `flushed_at` holds the backlog-entry times of a batch
+    /// this primary is flushing (empty otherwise, and when telemetry is
+    /// disabled). Returns the batch digest and the per-request payload
     /// digests in batch order.
-    fn accept_preprepare(&mut self, preprepare: PrePrepare) -> (Digest, Vec<Digest>) {
+    fn accept_preprepare(
+        &mut self,
+        preprepare: PrePrepare,
+        flushed_at: &[u64],
+    ) -> (Digest, Vec<Digest>) {
         let sn = preprepare.sn;
         let batch_digest = preprepare.batch.digest();
         let payload_digests: Vec<Digest> = preprepare.batch.payload_digests().to_vec();
-        let traced = if self.telemetry.is_enabled() {
-            Self::traced_requests(&preprepare, &payload_digests)
-        } else {
-            Vec::new()
-        };
-        let primary = self.config.primary_of(preprepare.view).0;
+        let mut traced = self.traced_requests(&preprepare);
         let now = self.telemetry.now_ms();
+        if !flushed_at.is_empty() {
+            self.trace_batch_flush(&preprepare, flushed_at, &traced, now);
+        }
+        Self::emit_slot_spans(
+            &self.telemetry,
+            self.id.0,
+            Stage::PrePrepare,
+            &mut traced,
+            now,
+            now,
+        );
         let slot = self.slots.entry(sn).or_default();
         slot.batch_digest = Some(batch_digest);
         slot.payload_digests = payload_digests.clone();
         slot.t_accept = now;
+        slot.traced = traced;
         slot.preprepare = Some(preprepare);
-        self.emit_slot_spans(
-            Stage::PrePrepare,
-            Stage::BatchFlush,
-            Some(primary),
-            &traced,
-            now,
-            now,
-        );
         self.maybe_advance(sn);
         (batch_digest, payload_digests)
     }
@@ -1138,21 +1167,14 @@ impl Replica {
             let now = self.telemetry.now_ms();
             slot.prepared = true;
             slot.t_prepared = now;
-            let t_accept = slot.t_accept;
-            let traced = match (&slot.preprepare, self.telemetry.is_enabled()) {
-                (Some(preprepare), true) => {
-                    Self::traced_requests(preprepare, &slot.payload_digests)
-                }
-                _ => Vec::new(),
-            };
             // The prepare span covers preprepare-accept → prepare-quorum
             // on this node, parented on this node's own preprepare span.
-            self.emit_slot_spans(
+            Self::emit_slot_spans(
+                &self.telemetry,
+                self.id.0,
                 Stage::Prepare,
-                Stage::PrePrepare,
-                Some(self.id.0),
-                &traced,
-                t_accept,
+                &mut slot.traced,
+                slot.t_accept,
                 now,
             );
             self.broadcast(Message::Commit(Commit { view, sn, digest }));
@@ -1170,20 +1192,13 @@ impl Replica {
             let now = self.telemetry.now_ms();
             slot.committed = true;
             slot.t_committed = now;
-            let t_prepared = slot.t_prepared;
-            let traced = match (&slot.preprepare, self.telemetry.is_enabled()) {
-                (Some(preprepare), true) => {
-                    Self::traced_requests(preprepare, &slot.payload_digests)
-                }
-                _ => Vec::new(),
-            };
             // The commit span covers prepare-quorum → commit-quorum.
-            self.emit_slot_spans(
+            Self::emit_slot_spans(
+                &self.telemetry,
+                self.id.0,
                 Stage::Commit,
-                Stage::Prepare,
-                Some(self.id.0),
-                &traced,
-                t_prepared,
+                &mut slot.traced,
+                slot.t_prepared,
                 now,
             );
             self.try_decide();
@@ -1224,15 +1239,26 @@ impl Replica {
                 return;
             }
             slot.decided = true;
-            let t_committed = slot.t_committed;
             let digests = slot.payload_digests.clone();
             let preprepare = slot
                 .preprepare
                 .clone()
                 .expect("committed slot has a preprepare");
+            // The decide span closes the consensus phase: commit-quorum →
+            // in-order execution up-call, for the requests a state
+            // transfer has not already covered.
+            let mut traced = std::mem::take(&mut slot.traced);
+            let undecided = traced.partition_point(|request| request.sn < next);
+            Self::emit_slot_spans(
+                &self.telemetry,
+                self.id.0,
+                Stage::Decide,
+                &mut traced[undecided..],
+                slot.t_committed,
+                self.telemetry.now_ms(),
+            );
             self.stats.batches_decided += 1;
             self.metrics.batches_decided.inc();
-            let now = self.telemetry.now_ms();
             let requests = preprepare.batch.into_requests();
             self.metrics.batch_occupancy.observe(requests.len() as u64);
             for ((offset, request), payload_digest) in requests.into_iter().enumerate().zip(digests)
@@ -1240,19 +1266,6 @@ impl Replica {
                 let sn = base + offset as u64;
                 if sn <= self.decided_up_to {
                     continue; // already covered by a state transfer
-                }
-                if self.telemetry.is_enabled() && !request.is_noop() {
-                    // The decide span closes the consensus phase:
-                    // commit-quorum → in-order execution up-call.
-                    self.proposed_at.remove(&payload_digest);
-                    self.emit_slot_spans(
-                        Stage::Decide,
-                        Stage::Commit,
-                        Some(self.id.0),
-                        &[(sn, request.origin.0, payload_digest)],
-                        t_committed,
-                        now,
-                    );
                 }
                 self.decided_up_to = sn;
                 self.stats.decided += 1;
@@ -1540,7 +1553,7 @@ impl Replica {
                 continue; // already decided locally
             }
             let sn = preprepare.sn;
-            let (digest, payload_digests) = self.accept_preprepare(preprepare);
+            let (digest, payload_digests) = self.accept_preprepare(preprepare, &[]);
             for (offset, payload_digest) in payload_digests.into_iter().enumerate() {
                 self.effects
                     .push(Effect::Output(ReplicaEvent::PrePrepareSeen {

@@ -779,6 +779,44 @@ fn partial_batch_waits_for_the_flush_timer() {
 }
 
 #[test]
+fn batch_flush_spans_start_at_each_requests_own_entry_time() {
+    use std::sync::Arc;
+    use zugchain_telemetry::{Registry, Stage, Telemetry, TraceStore};
+
+    let config = Config::new(4)
+        .unwrap()
+        .with_max_batch_size(4)
+        .with_batch_delay(5);
+    let mut cluster = Cluster::with_config(4, config);
+    let store = Arc::new(TraceStore::new());
+    let telemetry =
+        Telemetry::new_with_store(0, Arc::new(Registry::new()), 64, Some(Arc::clone(&store)));
+    cluster.replicas[0].set_telemetry(&telemetry);
+
+    telemetry.set_time_ms(10);
+    cluster.replicas[0].propose(request(1, 0));
+    telemetry.set_time_ms(25);
+    cluster.replicas[0].propose(request(2, 0));
+    cluster.run_until_quiet();
+    // Both wait in one partial batch until the flush timer fires.
+    telemetry.set_time_ms(40);
+    cluster.fire_batch_timers();
+    assert_eq!(cluster.decides_on(0).len(), 2);
+
+    for (sn, entered) in [(1, 10), (2, 25)] {
+        let [trace_id] = store.traces_for_sn(sn)[..] else {
+            panic!("sn {sn} must have exactly one trace");
+        };
+        let spans = store.assemble(trace_id);
+        let flush = spans
+            .iter()
+            .find(|span| span.stage == Stage::BatchFlush)
+            .expect("the primary traced the flush");
+        assert_eq!((flush.start_ms, flush.end_ms), (entered, 40), "sn {sn}");
+    }
+}
+
+#[test]
 fn view_change_carries_a_prepared_batch_bit_identically() {
     let config = Config::new(4).unwrap().with_max_batch_size(3);
     let mut cluster = Cluster::with_config(4, config);

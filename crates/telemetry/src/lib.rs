@@ -84,10 +84,10 @@ struct TelemetryInner {
     /// The cluster-wide view this handle's ring is attached to; handles
     /// derived with [`Telemetry::for_train`] attach theirs to it too.
     trace_store: Option<Arc<TraceStore>>,
-    /// `zugchain_stage_latency_ms{stage=...}` handles, resolved once on
-    /// the first span so the per-span path never takes the registry
-    /// lock.
-    stage_latency: OnceLock<Vec<Histogram>>,
+    /// `zugchain_stage_latency_ms{stage=...}` handles, indexed by
+    /// [`Stage::order`] and resolved with the handle, so no span, the
+    /// first included, takes the registry lock.
+    stage_latency: Vec<Histogram>,
     registry: Arc<Registry>,
 }
 
@@ -203,7 +203,7 @@ impl Telemetry {
         let Some(inner) = &self.inner else { return };
         let event = event().into();
         if let Event::Span(span) = &event {
-            inner.stage_latency()[span.stage.order()].observe(span.latency_ms());
+            inner.stage_latency[span.stage.order()].observe(span.latency_ms());
         }
         let t = inner.now_ms.load(Ordering::Relaxed);
         inner.ring.lock().expect("ring poisoned").push(t, event);
@@ -318,7 +318,7 @@ impl TelemetryInner {
         if let Some(store) = &trace_store {
             store.attach(Arc::clone(&ring));
         }
-        Self {
+        let mut inner = Self {
             node,
             node_label: node.to_string(),
             train_label: train.map(|t| t.to_string()),
@@ -327,22 +327,19 @@ impl TelemetryInner {
             now_ms,
             ring,
             trace_store,
-            stage_latency: OnceLock::new(),
+            stage_latency: Vec::new(),
             registry,
-        }
-    }
-
-    fn stage_latency(&self) -> &[Histogram] {
-        self.stage_latency.get_or_init(|| {
-            STAGES
-                .iter()
-                .map(|stage| {
-                    let labels = self.with_node_label(&[("stage", stage.as_str())]);
-                    self.registry
-                        .histogram("zugchain_stage_latency_ms", &labels)
-                })
-                .collect()
-        })
+        };
+        inner.stage_latency = STAGES
+            .iter()
+            .map(|stage| {
+                let labels = inner.with_node_label(&[("stage", stage.as_str())]);
+                inner
+                    .registry
+                    .histogram("zugchain_stage_latency_ms", &labels)
+            })
+            .collect();
+        inner
     }
 
     fn with_node_label(&self, labels: &[(&str, &str)]) -> Vec<(String, String)> {

@@ -92,12 +92,13 @@ impl Gauge {
     }
 }
 
-/// Shared storage of one histogram.
+/// Shared storage of one histogram. The observation count is the sum of
+/// the buckets, taken at snapshot time rather than kept as a third
+/// atomic.
 #[derive(Debug)]
 pub(crate) struct HistogramCore {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
     sum: AtomicU64,
-    count: AtomicU64,
 }
 
 impl HistogramCore {
@@ -105,25 +106,27 @@ impl HistogramCore {
         Self {
             buckets: [(); HISTOGRAM_BUCKETS].map(|_| AtomicU64::new(0)),
             sum: AtomicU64::new(0),
-            count: AtomicU64::new(0),
         }
     }
 
     fn observe(&self, value: u64) {
         self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
+        // Sub-ms stages observe 0, which leaves the sum as it is.
+        if value != 0 {
+            self.sum.fetch_add(value, Ordering::Relaxed);
+        }
     }
 
     fn snapshot(&self) -> HistogramSnapshot {
+        let buckets: Vec<u64> = self
+            .buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect();
         HistogramSnapshot {
-            buckets: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
+            count: buckets.iter().sum(),
+            buckets,
             sum: self.sum.load(Ordering::Relaxed),
-            count: self.count.load(Ordering::Relaxed),
         }
     }
 }
@@ -629,6 +632,24 @@ mod tests {
         assert_eq!(snap.quantile(0.0), 0);
         assert_eq!(snap.quantile(0.5), 1);
         assert_eq!(snap.quantile(1.0), 15);
+    }
+
+    #[test]
+    fn histogram_count_is_its_bucket_total_and_zeros_leave_the_sum() {
+        let registry = Registry::new();
+        let h = registry.histogram("zugchain_h", &[]);
+        h.observe(7);
+        h.observe(300);
+        let before = h.snapshot();
+        for _ in 0..5 {
+            h.observe(0);
+        }
+        let snap = h.snapshot();
+        assert_eq!(snap.sum, before.sum);
+        assert_eq!(snap.sum, 307);
+        assert_eq!(snap.buckets[0], 5);
+        assert_eq!(snap.count, 7);
+        assert_eq!(snap.count, snap.buckets.iter().sum::<u64>());
     }
 
     #[test]

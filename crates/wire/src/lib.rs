@@ -34,6 +34,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod error;
 mod reader;
@@ -46,7 +47,8 @@ pub use error::WireError;
 pub use reader::Reader;
 pub use reader::MAX_FIELD_LEN;
 pub use trace::{
-    decode_traced, derive_span_id, derive_trace_id, encode_traced, TraceCtx, TRACE_ENVELOPE_MAGIC,
+    decode_traced, derive_span_id, derive_trace_id, encode_traced, SpanIds, TraceCtx,
+    TRACE_ENVELOPE_MAGIC,
 };
 pub use train::TrainId;
 pub use traits::{decode_seq, encode_seq, Decode, Encode};

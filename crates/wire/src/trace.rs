@@ -98,13 +98,42 @@ pub fn derive_trace_id(train: u64, origin: u64, payload_digest: &[u8]) -> u64 {
 /// node — a pure function, so any layer can name another layer's span
 /// (e.g. a child naming its parent) without coordination. Never 0.
 pub fn derive_span_id(trace_id: u64, stage: &str, node: u64) -> u64 {
-    let mut hash = fnv1a(FNV_OFFSET, &trace_id.to_le_bytes());
-    hash = fnv1a(hash, stage.as_bytes());
-    hash = fnv1a(hash, &node.to_le_bytes());
-    if hash == 0 {
-        1
-    } else {
-        hash
+    SpanIds::new(trace_id).derive(stage, node)
+}
+
+/// The span ids of one trace, with the trace id's share of the hash
+/// taken once: `SpanIds::new(t).derive(stage, node)` is
+/// [`derive_span_id`]`(t, stage, node)`. For code that names several
+/// spans of one request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpanIds {
+    trace_id: u64,
+    /// FNV-1a state after the trace id's bytes.
+    prefix: u64,
+}
+
+impl SpanIds {
+    /// Starts the span ids of `trace_id`.
+    pub fn new(trace_id: u64) -> Self {
+        Self {
+            trace_id,
+            prefix: fnv1a(FNV_OFFSET, &trace_id.to_le_bytes()),
+        }
+    }
+
+    /// The trace these span ids belong to.
+    pub fn trace_id(&self) -> u64 {
+        self.trace_id
+    }
+
+    /// The id of `stage`'s span on `node`. Never 0.
+    pub fn derive(&self, stage: &str, node: u64) -> u64 {
+        let hash = fnv1a(fnv1a(self.prefix, stage.as_bytes()), &node.to_le_bytes());
+        if hash == 0 {
+            1
+        } else {
+            hash
+        }
     }
 }
 
@@ -188,6 +217,23 @@ mod tests {
         assert_ne!(span, 0);
         assert_ne!(span, derive_span_id(id, "decide", 3));
         assert_ne!(span, derive_span_id(id, "commit", 2));
+    }
+
+    #[test]
+    fn span_ids_equal_the_one_pass_hash() {
+        for (trace_id, stage, node) in [
+            (1, "decide", 0u64),
+            (u64::MAX, "batch_flush", 6),
+            (77, "", 3),
+        ] {
+            let mut bytes = trace_id.to_le_bytes().to_vec();
+            bytes.extend_from_slice(stage.as_bytes());
+            bytes.extend_from_slice(&node.to_le_bytes());
+            let one_pass = fnv1a(FNV_OFFSET, &bytes);
+            assert_eq!(derive_span_id(trace_id, stage, node), one_pass);
+            assert_eq!(SpanIds::new(trace_id).derive(stage, node), one_pass);
+            assert_eq!(SpanIds::new(trace_id).trace_id(), trace_id);
+        }
     }
 
     #[test]
