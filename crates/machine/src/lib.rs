@@ -216,7 +216,7 @@ pub trait WireMessage {
 #[derive(Debug)]
 struct FrameInner<M> {
     message: M,
-    encoded: OnceLock<Arc<[u8]>>,
+    encoded: OnceLock<Vec<u8>>,
     encodes: AtomicU64,
 }
 
@@ -226,8 +226,9 @@ struct FrameInner<M> {
 /// once per `Send`/`Broadcast` effect. Cloning a frame is an `Arc` clone;
 /// [`bytes`](Frame::bytes) encodes on first call and returns the cached
 /// buffer afterwards — so a broadcast over any number of TCP peers
-/// serializes the message once, and in-process transports (channels, the
-/// discrete-event simulator) never serialize at all.
+/// serializes the message once, into the one buffer its encoder returned,
+/// and in-process transports (channels, the discrete-event simulator)
+/// never serialize at all.
 #[derive(Debug)]
 pub struct Frame<M>(Arc<FrameInner<M>>);
 
@@ -267,15 +268,13 @@ impl<M: Clone> Frame<M> {
 }
 
 impl<M: WireMessage> Frame<M> {
-    /// The canonical encoding, computed once and cached.
-    pub fn bytes(&self) -> Arc<[u8]> {
-        self.0
-            .encoded
-            .get_or_init(|| {
-                self.0.encodes.fetch_add(1, Ordering::Relaxed);
-                Arc::from(self.0.message.encode_wire())
-            })
-            .clone()
+    /// The canonical encoding, computed once and cached: every call on
+    /// this frame or its clones returns the same buffer.
+    pub fn bytes(&self) -> &[u8] {
+        self.0.encoded.get_or_init(|| {
+            self.0.encodes.fetch_add(1, Ordering::Relaxed);
+            self.0.message.encode_wire()
+        })
     }
 }
 
@@ -597,7 +596,8 @@ mod tests {
     #[derive(Default)]
     struct MockHost {
         peers: usize,
-        wire_writes: Vec<Arc<[u8]>>,
+        /// The address of each buffer written to the wire.
+        wire_writes: Vec<*const u8>,
         frames: Vec<Frame<Msg>>,
         timers_set: Vec<(u8, u64, u64)>,
         outputs: Vec<Out>,
@@ -605,12 +605,12 @@ mod tests {
 
     impl Host<Scripted> for MockHost {
         fn send(&mut self, _to: usize, frame: &Frame<Msg>) {
-            self.wire_writes.push(frame.bytes());
+            self.wire_writes.push(frame.bytes().as_ptr());
             self.frames.push(frame.clone());
         }
         fn broadcast(&mut self, frame: &Frame<Msg>) {
             for _ in 0..self.peers {
-                self.wire_writes.push(frame.bytes());
+                self.wire_writes.push(frame.bytes().as_ptr());
             }
             self.frames.push(frame.clone());
         }
@@ -642,8 +642,8 @@ mod tests {
         assert_eq!(host.frames.len(), 1);
         assert_eq!(host.frames[0].encode_count(), 1);
         assert_eq!(ENCODES.load(Ordering::SeqCst) - before, 1);
-        let first = &host.wire_writes[0];
-        assert!(host.wire_writes.iter().all(|w| Arc::ptr_eq(w, first)));
+        let first = host.wire_writes[0];
+        assert!(host.wire_writes.iter().all(|w| *w == first));
     }
 
     #[test]

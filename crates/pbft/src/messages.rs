@@ -404,7 +404,8 @@ impl Message {
     pub fn auth_bytes(&self) -> Vec<u8> {
         match self {
             Message::PrePrepare(pp) => {
-                let mut w = Writer::new();
+                // tag ‖ view ‖ sn ‖ batch digest
+                let mut w = Writer::with_capacity(1 + 8 + 8 + 32);
                 w.write_u8(Self::TAG_PREPREPARE);
                 w.write_u64(pp.view);
                 w.write_u64(pp.sn);

@@ -9,21 +9,23 @@
 //!
 //! Channels deliver by cloning the message out of the frame (never
 //! encoding); TCP writes [`Frame::bytes`] — computed once per broadcast —
-//! into every peer's send buffer.
+//! into every peer's send buffer. The link is also where a node waits:
+//! the channel link blocks in `recv_timeout`, the TCP link in `poll(2)`
+//! on its sockets.
 //!
-//! The loop works in bursts: it blocks for one input, takes everything
-//! already queued behind it, handles that burst (stopping early only if
-//! the earliest armed timer comes due), fires due timers, and only then
-//! calls [`PeerLink::flush`]. A link that buffers (TCP) thus sends every
-//! frame a burst produced for one peer in one write, and nothing is ever
-//! left buffered while the loop blocks. Inputs that arrive while a burst
-//! is handled belong to the next one: under a steady stream of traffic a
+//! The loop works in bursts: it waits for inputs, takes everything ready
+//! at that moment, handles that burst (stopping early only if the
+//! earliest armed timer comes due), fires due timers, and only then calls
+//! [`PeerLink::flush`]. A link that buffers (TCP) thus sends every frame
+//! a burst produced for one peer in one write, and nothing is ever left
+//! buffered while the loop waits. Inputs that arrive while a burst is
+//! handled belong to the next one: under a steady stream of traffic a
 //! burst still ends, so its frames are not held back by later arrivals.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use zugchain::{
     NodeEvent, NodeInput, NodeMessage, NodeObserver, TimerId, TrainMachine, TrainNode as _,
     ZugchainNode,
@@ -56,8 +58,8 @@ pub(crate) enum LoopInput {
     Shutdown,
 }
 
-/// How outbound frames leave a node — the only transport-specific part of
-/// the loop.
+/// How a node's inputs arrive and its frames leave — the only
+/// transport-specific part of the loop.
 pub(crate) trait PeerLink {
     /// Cluster size (including this node).
     fn peer_count(&self) -> usize;
@@ -67,15 +69,49 @@ pub(crate) trait PeerLink {
     /// frames to one peer always leave in the order they were delivered.
     fn deliver(&mut self, to: usize, frame: &Frame<NodeMessage>);
 
-    /// Sends everything delivered so far. The loop calls this after each
-    /// burst, before it blocks again, and before it exits.
+    /// Sends everything delivered so far, or hands what the peer cannot
+    /// take yet to [`wait`](Self::wait). The loop calls this after each
+    /// burst, before it waits again.
     fn flush(&mut self);
+
+    /// Waits until an input is ready or `timeout` passes, then appends
+    /// every input ready at that moment to `burst`. Returns `false` once
+    /// no input can arrive any more (the cluster handle is gone).
+    fn wait(&mut self, timeout: Duration, burst: &mut VecDeque<LoopInput>) -> bool;
+
+    /// Sends whatever [`flush`](Self::flush) left behind. The loop calls
+    /// this once, as it exits.
+    fn close(&mut self) {
+        self.flush();
+    }
 }
 
-/// A crossbeam-channel link: in-process delivery clones the message out
-/// of the frame; nothing is ever wire-encoded.
+/// How long the loop waits when no timer is armed. Every input wakes the
+/// loop before that, so this only bounds how late a node notices that its
+/// cluster handle was dropped without a `Shutdown`.
+const IDLE_WAIT: Duration = Duration::from_millis(100);
+
+/// The channel runtime's wait: block for one input, then take everything
+/// already queued behind it.
+pub(crate) fn recv_burst(
+    inbox: &Receiver<LoopInput>,
+    timeout: Duration,
+    burst: &mut VecDeque<LoopInput>,
+) -> bool {
+    match inbox.recv_timeout(timeout) {
+        Ok(input) => burst.push_back(input),
+        Err(RecvTimeoutError::Timeout) => {}
+        Err(RecvTimeoutError::Disconnected) => return false,
+    }
+    burst.extend(inbox.try_iter());
+    true
+}
+
+/// A channel link: in-process delivery clones the message out of the
+/// frame; nothing is ever wire-encoded.
 pub(crate) struct ChannelLink {
-    pub(crate) peers: Vec<Sender<LoopInput>>,
+    pub(crate) peers: Vec<SyncSender<LoopInput>>,
+    pub(crate) inbox: Receiver<LoopInput>,
 }
 
 impl PeerLink for ChannelLink {
@@ -91,10 +127,14 @@ impl PeerLink for ChannelLink {
 
     /// Nothing to do: a channel send is already a delivery.
     fn flush(&mut self) {}
+
+    fn wait(&mut self, timeout: Duration, burst: &mut VecDeque<LoopInput>) -> bool {
+        recv_burst(&self.inbox, timeout, burst)
+    }
 }
 
 /// The runtime-mechanics side of the driver: frames go through the link,
-/// timers into a deadline map served by `recv_timeout`, outputs onto the
+/// timers into a deadline map served by the link's wait, outputs onto the
 /// cluster event stream (with blocks persisted *before* being reported).
 struct ThreadHost<'a, T: PeerLink> {
     id: NodeId,
@@ -181,13 +221,12 @@ impl<T: PeerLink> Host<TrainMachine<ZugchainNode>> for ThreadHost<'_, T> {
 }
 
 /// The per-node event loop: inputs in, effects routed by the driver,
-/// timers via `recv_timeout` against the earliest deadline, the link
+/// timers via the link's wait against the earliest deadline, the link
 /// flushed once per burst (see the module docs). `start` is the
 /// cluster's common clock origin, so every node stamps its events on one
 /// timeline.
 pub(crate) fn node_loop<T: PeerLink>(
     mut node: ZugchainNode,
-    inbox: Receiver<LoopInput>,
     mut link: T,
     events: Sender<ClusterEvent>,
     disk: Option<DiskStore>,
@@ -204,7 +243,7 @@ pub(crate) fn node_loop<T: PeerLink>(
     );
     let mut deadlines: BTreeMap<TimerId, (Instant, u64)> = BTreeMap::new();
     let mut crashed = false;
-    // The current burst: inputs taken from the inbox, not yet handled.
+    // The current burst: inputs taken from the link, not yet handled.
     let mut burst = VecDeque::new();
 
     'run: loop {
@@ -214,17 +253,12 @@ pub(crate) fn node_loop<T: PeerLink>(
                 .values()
                 .map(|(deadline, _)| deadline.saturating_duration_since(now))
                 .min()
-                .unwrap_or(Duration::from_millis(100));
-            match inbox.recv_timeout(timeout) {
-                Ok(input) => burst.push_back(input),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-            // The burst is what is queued now. Inputs that arrive while
-            // it is handled wait for the next burst, so no frame stays
+                .unwrap_or(IDLE_WAIT);
+            // The burst is what is ready now. Inputs that arrive while it
+            // is handled wait for the next burst, so no frame stays
             // buffered for longer than one burst takes.
-            while let Ok(input) = inbox.try_recv() {
-                burst.push_back(input);
+            if !link.wait(timeout, &mut burst) {
+                break;
             }
         }
         while let Some(input) = burst.pop_front() {
@@ -305,7 +339,7 @@ pub(crate) fn node_loop<T: PeerLink>(
     }
     // On `Shutdown` (or a dropped inbox) the last burst's frames still
     // leave.
-    link.flush();
+    link.close();
 
     let mut node = driver.into_machine().0;
     NodeSummary {
@@ -319,7 +353,7 @@ pub(crate) fn node_loop<T: PeerLink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::{bounded, unbounded};
+    use std::sync::mpsc::{channel, sync_channel};
     use std::sync::{Arc, Mutex};
     use zugchain::NodeConfig;
     use zugchain_crypto::Keystore;
@@ -334,12 +368,14 @@ mod tests {
         flushes: Vec<Vec<(usize, NodeMessage)>>,
     }
 
-    /// Records deliveries and flushes. With `late` set, the first
-    /// delivery also queues that input in the node's own inbox: an input
-    /// that arrives while a burst is being handled.
+    /// Records deliveries and flushes, and waits on a channel inbox as
+    /// the channel link does. With `late` set, the first delivery also
+    /// queues that input in the node's own inbox: an input that arrives
+    /// while a burst is being handled.
     struct RecordingLink {
         wire: Arc<Mutex<Wire>>,
-        late: Option<(Sender<LoopInput>, LoopInput)>,
+        inbox: Receiver<LoopInput>,
+        late: Option<(SyncSender<LoopInput>, LoopInput)>,
     }
 
     impl PeerLink for RecordingLink {
@@ -362,6 +398,10 @@ mod tests {
                 wire.flushes.push(sent);
             }
         }
+
+        fn wait(&mut self, timeout: Duration, burst: &mut VecDeque<LoopInput>) -> bool {
+            recv_burst(&self.inbox, timeout, burst)
+        }
     }
 
     /// Sequence numbers of the preprepares among `deliveries` to `peer`.
@@ -379,11 +419,8 @@ mod tests {
             .collect()
     }
 
-    /// Runs the primary's loop (node 0 of four) over `inbox` and `link`.
-    fn spawn_primary(
-        inbox: Receiver<LoopInput>,
-        link: RecordingLink,
-    ) -> std::thread::JoinHandle<NodeSummary> {
+    /// Runs the primary's loop (node 0 of four) over `link`.
+    fn spawn_primary(link: RecordingLink) -> std::thread::JoinHandle<NodeSummary> {
         let (pairs, keystore) = Keystore::generate(4, 11);
         let primary = ZugchainNode::new(
             0,
@@ -392,11 +429,10 @@ mod tests {
             pairs[0].clone(),
             keystore,
         );
-        let (events, _events_rx) = unbounded();
+        let (events, _events_rx) = channel();
         std::thread::spawn(move || {
             node_loop(
                 primary,
-                inbox,
                 link,
                 events,
                 None,
@@ -417,16 +453,17 @@ mod tests {
 
     #[test]
     fn a_queued_burst_leaves_in_one_flush_and_shutdown_flushes_the_rest() {
-        let (inbox_tx, inbox) = bounded(64);
+        let (inbox_tx, inbox) = sync_channel(64);
         for tag in 0..5u8 {
             inbox_tx.send(LoopInput::RawPayload(vec![tag; 64])).unwrap();
         }
         let wire = Arc::new(Mutex::new(Wire::default()));
         let link = RecordingLink {
             wire: Arc::clone(&wire),
+            inbox,
             late: None,
         };
-        let node = spawn_primary(inbox, link);
+        let node = spawn_primary(link);
 
         await_first_flush(&wire);
         // One more proposal, then `Shutdown` right behind it: the loop
@@ -449,16 +486,17 @@ mod tests {
     /// it cannot hold the burst's frames back.
     #[test]
     fn an_input_arriving_mid_burst_waits_for_the_next_flush() {
-        let (inbox_tx, inbox) = bounded(64);
+        let (inbox_tx, inbox) = sync_channel(64);
         for tag in 0..3u8 {
             inbox_tx.send(LoopInput::RawPayload(vec![tag; 64])).unwrap();
         }
         let wire = Arc::new(Mutex::new(Wire::default()));
         let link = RecordingLink {
             wire: Arc::clone(&wire),
+            inbox,
             late: Some((inbox_tx.clone(), LoopInput::RawPayload(vec![3; 64]))),
         };
-        let node = spawn_primary(inbox, link);
+        let node = spawn_primary(link);
 
         // The late payload was queued during the first burst, so it is
         // ahead of `Shutdown` in the inbox.

@@ -1,12 +1,13 @@
 //! A thread-per-node runtime driving the real state machines on real
 //! time — the examples use this to run a live ZugChain cluster inside one
-//! process, with crossbeam channels standing in for the testbed Ethernet.
+//! process, with `std::sync::mpsc` channels standing in for the testbed
+//! Ethernet.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender};
 use zugchain::{NodeConfig, ZugchainNode};
 use zugchain_blockchain::{ChainStore, DiskStore};
 use zugchain_crypto::{Digest, KeyPair, Keystore};
@@ -88,7 +89,7 @@ pub struct NodeSummary {
 /// assert_eq!(summaries.len(), 4);
 /// ```
 pub struct ThreadedCluster {
-    inboxes: Vec<Sender<LoopInput>>,
+    inboxes: Vec<SyncSender<LoopInput>>,
     events: Receiver<ClusterEvent>,
     handles: Vec<JoinHandle<NodeSummary>>,
     registry: Arc<Registry>,
@@ -136,7 +137,7 @@ impl ThreadedCluster {
     ) -> Self {
         let dir = dir.as_ref().to_path_buf();
         let (pairs, keystore) = Keystore::generate(n, 0xC10C);
-        let (event_tx, event_rx) = unbounded();
+        let (event_tx, event_rx) = channel();
         let registry = Arc::new(Registry::new());
         let traces = Arc::new(TraceStore::new());
         let telemetry: Vec<Telemetry> = (0..n)
@@ -149,9 +150,10 @@ impl ThreadedCluster {
                 )
             })
             .collect();
-        let channels: Vec<(Sender<LoopInput>, Receiver<LoopInput>)> =
-            (0..n).map(|_| bounded(4096)).collect();
-        let inboxes: Vec<Sender<LoopInput>> = channels.iter().map(|(tx, _)| tx.clone()).collect();
+        let channels: Vec<(SyncSender<LoopInput>, Receiver<LoopInput>)> =
+            (0..n).map(|_| sync_channel(4096)).collect();
+        let inboxes: Vec<SyncSender<LoopInput>> =
+            channels.iter().map(|(tx, _)| tx.clone()).collect();
 
         let start = Instant::now();
         let handles = channels
@@ -194,14 +196,13 @@ impl ThreadedCluster {
                 );
                 let link = ChannelLink {
                     peers: inboxes.clone(),
+                    inbox: rx,
                 };
                 let events = event_tx.clone();
                 let node_telemetry = telemetry[id].clone();
                 std::thread::Builder::new()
                     .name(format!("zugchain-node-{id}"))
-                    .spawn(move || {
-                        node_loop(node, rx, link, events, Some(disk), node_telemetry, start)
-                    })
+                    .spawn(move || node_loop(node, link, events, Some(disk), node_telemetry, start))
                     .expect("spawn node thread")
             })
             .collect();
@@ -225,7 +226,7 @@ impl ThreadedCluster {
         disk_dir: Option<std::path::PathBuf>,
     ) -> Self {
         let (pairs, keystore) = Keystore::generate(n, 0xC10C);
-        let (event_tx, event_rx) = unbounded();
+        let (event_tx, event_rx) = channel();
         let registry = Arc::new(Registry::new());
         let traces = Arc::new(TraceStore::new());
         let telemetry: Vec<Telemetry> = (0..n)
@@ -238,9 +239,10 @@ impl ThreadedCluster {
                 )
             })
             .collect();
-        let channels: Vec<(Sender<LoopInput>, Receiver<LoopInput>)> =
-            (0..n).map(|_| bounded(4096)).collect();
-        let inboxes: Vec<Sender<LoopInput>> = channels.iter().map(|(tx, _)| tx.clone()).collect();
+        let channels: Vec<(SyncSender<LoopInput>, Receiver<LoopInput>)> =
+            (0..n).map(|_| sync_channel(4096)).collect();
+        let inboxes: Vec<SyncSender<LoopInput>> =
+            channels.iter().map(|(tx, _)| tx.clone()).collect();
 
         let start = Instant::now();
         let handles = channels
@@ -256,6 +258,7 @@ impl ThreadedCluster {
                 );
                 let link = ChannelLink {
                     peers: inboxes.clone(),
+                    inbox: rx,
                 };
                 let events = event_tx.clone();
                 let disk = disk_dir.as_ref().map(|dir| {
@@ -265,7 +268,7 @@ impl ThreadedCluster {
                 let node_telemetry = telemetry[id].clone();
                 std::thread::Builder::new()
                     .name(format!("zugchain-node-{id}"))
-                    .spawn(move || node_loop(node, rx, link, events, disk, node_telemetry, start))
+                    .spawn(move || node_loop(node, link, events, disk, node_telemetry, start))
                     .expect("spawn node thread")
             })
             .collect();

@@ -14,7 +14,7 @@ pub trait Encode {
     /// The default implementation encodes into a scratch buffer; override
     /// for hot paths if needed.
     fn encoded_len(&self) -> usize {
-        let mut w = Writer::new();
+        let mut w = Writer::with_capacity(crate::FRAME_CAPACITY);
         self.encode(&mut w);
         w.len()
     }
