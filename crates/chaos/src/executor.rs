@@ -14,8 +14,8 @@ use std::sync::Arc;
 
 use rand::{rngs::StdRng, RngExt as _, SeedableRng as _};
 use zugchain::{
-    NodeConfig, NodeEvent, NodeInput, NodeMessage, NodeObserver, TimerId, TrainMachine, TrainNode,
-    ZugchainNode,
+    rebuild_recovered_state, NodeConfig, NodeEvent, NodeInput, NodeMessage, NodeObserver, TimerId,
+    TrainMachine, TrainNode, ZugchainNode,
 };
 use zugchain_archive::FleetArchive;
 use zugchain_blockchain::{verify_chain, Block, BlockBuilder, ChainStore, LoggedRequest};
@@ -980,10 +980,11 @@ impl Chaos {
 
     /// Restarts `crashes[i]`'s node from simulated durable state: its
     /// chain with `truncate_blocks` tail blocks torn off, and its stable
-    /// checkpoint proofs (all of them lost when `drop_proofs`). Recovery
-    /// truncates to the newest proof-covered prefix — exactly what a
-    /// real restart does after `DiskStore::recover_chain` — and falls
-    /// back to a from-genesis restart when nothing verifiable survives.
+    /// checkpoint proofs (all of them lost when `drop_proofs`). The
+    /// restart rule is the live clusters' own
+    /// ([`rebuild_recovered_state`], then [`ZugchainNode::restart`]),
+    /// which they apply to the verified prefix `DiskStore::recover_chain`
+    /// leaves: the newest proof-covered prefix, else from genesis.
     fn recover(&mut self, i: usize) {
         let crash = self.world.plan.crashes[i].clone();
         let node = crash.node;
@@ -1007,27 +1008,14 @@ impl Chaos {
             )
         };
 
-        let rebuilt = rebuild_recovered_state(&surviving_blocks, base, &proofs);
-        let inner = match rebuilt {
-            Some((store, proofs)) => ZugchainNode::recover(
-                node as u64,
-                self.config.clone(),
-                self.nsdb.clone(),
-                self.pairs[node].clone(),
-                self.keystore.clone(),
-                store,
-                proofs,
-            ),
-            // Nothing verifiable survived the disk damage: restart from
-            // genesis and catch up through the protocol.
-            None => ZugchainNode::new(
-                node as u64,
-                self.config.clone(),
-                self.nsdb.clone(),
-                self.pairs[node].clone(),
-                self.keystore.clone(),
-            ),
-        };
+        let inner = ZugchainNode::restart(
+            node as u64,
+            self.config.clone(),
+            self.nsdb.clone(),
+            self.pairs[node].clone(),
+            self.keystore.clone(),
+            rebuild_recovered_state(&surviving_blocks, base, &proofs),
+        );
         self.replace_node(node, inner, behavior);
         self.world.crashed[node] = false;
         self.check_chain(node);
@@ -1485,43 +1473,4 @@ impl Chaos {
             );
         }
     }
-}
-
-/// Finds the newest verifiable prefix of a damaged disk image: the
-/// longest chain prefix whose head is covered by a surviving stable
-/// checkpoint proof. Returns the rebuilt store plus the proofs up to
-/// that head, or `None` if no prefix is proof-covered.
-fn rebuild_recovered_state(
-    blocks: &[zugchain_blockchain::Block],
-    base: Option<zugchain_blockchain::PrunedBase>,
-    proofs: &[CheckpointProof],
-) -> Option<(ChainStore, Vec<CheckpointProof>)> {
-    let base_hash = match &base {
-        Some(b) => b.hash,
-        None => zugchain_blockchain::Block::genesis().hash(),
-    };
-    for cut in (0..=blocks.len()).rev() {
-        let head_hash = if cut == 0 {
-            base_hash
-        } else {
-            blocks[cut - 1].hash()
-        };
-        let Some(covered) = proofs
-            .iter()
-            .rposition(|p| p.checkpoint.state_digest == head_hash)
-        else {
-            continue;
-        };
-        let mut store = match &base {
-            Some(b) => ChainStore::resume(b.clone()),
-            None => ChainStore::new(),
-        };
-        for block in &blocks[..cut] {
-            store
-                .append(block.clone())
-                .expect("surviving prefix extends its own base");
-        }
-        return Some((store, proofs[..=covered].to_vec()));
-    }
-    None
 }

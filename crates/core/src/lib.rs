@@ -57,6 +57,7 @@ mod config;
 mod dedup;
 mod messages;
 mod node;
+mod restart;
 pub mod telemetry;
 
 pub use baseline::BaselineNode;
@@ -66,4 +67,5 @@ pub use messages::{LayerMessage, NodeMessage, SignedRequest, TimerId};
 pub use node::{
     NodeEffect, NodeEvent, NodeInput, NodeStats, TrainMachine, TrainNode, ZugchainNode,
 };
+pub use restart::rebuild_recovered_state;
 pub use telemetry::NodeObserver;

@@ -350,26 +350,31 @@ impl ZugchainNode {
         }
     }
 
-    /// Recovers a node from durable state after a power loss: the
-    /// reloaded (verified) chain plus its stable checkpoint proofs. The
-    /// block builder resumes at the chain head, consensus resumes after
-    /// the last stable checkpoint, and the duplicate filter is re-seeded
-    /// from the resident blocks so pre-restart payloads are not logged
-    /// twice.
+    /// Restarts a node after a power loss from what
+    /// [`rebuild_recovered_state`](crate::rebuild_recovered_state)
+    /// salvaged of its durable state: the reloaded (verified) chain plus
+    /// its stable checkpoint proofs. The block builder resumes at the
+    /// chain head, consensus resumes after the last stable checkpoint, and
+    /// the duplicate filter is re-seeded from the resident blocks so
+    /// pre-restart payloads are not logged twice. When nothing verifiable
+    /// survived (`None`), the node starts at genesis and catches up
+    /// through the protocol.
     ///
     /// # Panics
     ///
-    /// Panics if `proofs` is empty or its last entry does not match the
+    /// Panics if the proofs are empty or the last does not match the
     /// chain head (the caller must have verified the reloaded chain).
-    pub fn recover(
+    pub fn restart(
         id: u64,
         config: NodeConfig,
         nsdb: Nsdb,
         key: KeyPair,
         keystore: Keystore,
-        store: zugchain_blockchain::ChainStore,
-        proofs: Vec<CheckpointProof>,
+        survived: Option<(zugchain_blockchain::ChainStore, Vec<CheckpointProof>)>,
     ) -> Self {
+        let Some((store, proofs)) = survived else {
+            return Self::new(id, config, nsdb, key, keystore);
+        };
         let last = proofs
             .last()
             .expect("recovery requires a stable checkpoint");

@@ -25,7 +25,8 @@
 //!
 //! [`run_scenario`] executes one evaluation run and returns
 //! [`RunMetrics`]; [`export_sim`] computes the Table II export timings;
-//! [`runtime`] holds a thread-per-node runtime used by the examples.
+//! [`runtime`] holds the live cluster, one thread per node over channels
+//! or [`tcp`] sockets, used by the examples.
 //!
 //! # Examples
 //!

@@ -23,7 +23,9 @@
 //! burst still ends, so its frames are not held back by later arrivals.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::io;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use zugchain::{
@@ -37,6 +39,7 @@ use zugchain_pbft::NodeId;
 use zugchain_telemetry::Telemetry;
 
 use crate::runtime::{ClusterEvent, NodeSummary};
+use crate::tcp::Doorbell;
 
 /// Input to a threaded node loop, shared by both transports.
 #[derive(Debug)]
@@ -83,6 +86,40 @@ pub(crate) trait PeerLink {
     /// this once, as it exits.
     fn close(&mut self) {
         self.flush();
+    }
+}
+
+/// What a live cluster's transport supplies: the only part of its
+/// set-up that differs between channels and TCP. Everything else (keys,
+/// telemetry, the status server, data directories, thread spawn and
+/// every accessor) is [`LiveCluster`](crate::runtime::LiveCluster)'s.
+pub(crate) trait Transport {
+    /// Node threads are named `<THREAD_NAME>-<id>`.
+    const THREAD_NAME: &'static str;
+    /// A node's end of the transport, moved onto its thread.
+    type Link: PeerLink + Send + 'static;
+
+    /// Connects `n` nodes: each node's link and the cluster handle's side
+    /// of its inbox, by id.
+    fn connect(n: usize) -> io::Result<Vec<(Self::Link, Inbox)>>;
+}
+
+/// The cluster handle's side of one node's inbox.
+pub(crate) struct Inbox {
+    pub(crate) inputs: SyncSender<LoopInput>,
+    /// Rung after each queued input, for a node that waits on more than
+    /// its inbox (TCP's `poll`); channel nodes wait on the inbox itself.
+    pub(crate) doorbell: Option<Arc<Doorbell>>,
+}
+
+impl Inbox {
+    /// Queues `input`, waiting while the inbox is full.
+    pub(crate) fn send(&self, input: LoopInput) {
+        if self.inputs.send(input).is_ok() {
+            if let Some(doorbell) = &self.doorbell {
+                doorbell.ring();
+            }
+        }
     }
 }
 
@@ -142,16 +179,22 @@ struct ThreadHost<'a, T: PeerLink> {
     deadlines: &'a mut BTreeMap<TimerId, (Instant, u64)>,
     events: &'a Sender<ClusterEvent>,
     disk: Option<&'a DiskStore>,
+    /// The loop's crashed flag. Once set, no frame, event or disk write
+    /// leaves the node.
+    crashed: &'a mut bool,
 }
 
 impl<T: PeerLink> Host<TrainMachine<ZugchainNode>> for ThreadHost<'_, T> {
     fn send(&mut self, to: NodeId, frame: &Frame<NodeMessage>) {
-        if to != self.id && (to.0 as usize) < self.link.peer_count() {
+        if !*self.crashed && to != self.id && (to.0 as usize) < self.link.peer_count() {
             self.link.deliver(to.0 as usize, frame);
         }
     }
 
     fn broadcast(&mut self, frame: &Frame<NodeMessage>) {
+        if *self.crashed {
+            return;
+        }
         for peer in 0..self.link.peer_count() {
             if peer as u64 != self.id.0 {
                 self.link.deliver(peer, frame);
@@ -171,6 +214,9 @@ impl<T: PeerLink> Host<TrainMachine<ZugchainNode>> for ThreadHost<'_, T> {
     }
 
     fn output(&mut self, output: NodeEvent) {
+        if *self.crashed {
+            return;
+        }
         match output {
             NodeEvent::Logged {
                 sn,
@@ -215,7 +261,11 @@ impl<T: PeerLink> Host<TrainMachine<ZugchainNode>> for ThreadHost<'_, T> {
                     primary,
                 });
             }
-            NodeEvent::StateTransferNeeded { .. } => {}
+            // The quorum checkpointed decides this node never saw (it
+            // restarted behind its peers), and the live loop serves no
+            // state transfer: the node stops as if crashed, rather than
+            // record its next decides on a chain that lacks them.
+            NodeEvent::StateTransferNeeded { .. } => *self.crashed = true,
         }
     }
 }
@@ -247,6 +297,11 @@ pub(crate) fn node_loop<T: PeerLink>(
     let mut burst = VecDeque::new();
 
     'run: loop {
+        // A crashed or stopped node fires no timer again.
+        if crashed {
+            deadlines.clear();
+            driver.clear_timers();
+        }
         if burst.is_empty() {
             let now = Instant::now();
             let timeout = deadlines
@@ -266,8 +321,6 @@ pub(crate) fn node_loop<T: PeerLink>(
                 LoopInput::Shutdown => break 'run,
                 LoopInput::Crash => {
                     crashed = true;
-                    deadlines.clear();
-                    driver.clear_timers();
                     None
                 }
                 _ if crashed => None,
@@ -298,6 +351,7 @@ pub(crate) fn node_loop<T: PeerLink>(
                     deadlines: &mut deadlines,
                     events: &events,
                     disk: disk.as_ref(),
+                    crashed: &mut crashed,
                 };
                 driver.on_input(input, &mut host);
             }
@@ -331,6 +385,7 @@ pub(crate) fn node_loop<T: PeerLink>(
                     deadlines: &mut deadlines,
                     events: &events,
                     disk: disk.as_ref(),
+                    crashed: &mut crashed,
                 };
                 driver.on_timer_fired(timer, gen, &mut host);
             }

@@ -26,23 +26,19 @@ use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender, TryRecvError};
+use std::sync::mpsc::{sync_channel, Receiver, TryRecvError};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rustix::event::{eventfd, poll, EventfdFlags, PollFd, PollFlags, Timespec};
-use zugchain::{NodeConfig, NodeMessage, ZugchainNode};
-use zugchain_api::{ApiConfig, ApiServer, Backend};
-use zugchain_crypto::Keystore;
+use zugchain::{NodeConfig, NodeMessage};
 use zugchain_machine::Frame;
-use zugchain_mvb::Nsdb;
-use zugchain_telemetry::{Registry, Telemetry, TraceStore};
 use zugchain_wire::{decode_traced, derive_span_id, derive_trace_id, encode_traced, TraceCtx};
 
-use crate::node_loop::{node_loop, LoopInput, PeerLink};
-use crate::runtime::{ClusterEvent, NodeSummary};
+use crate::node_loop::{Inbox, LoopInput, PeerLink, Transport};
+use crate::runtime::{launch, LiveCluster};
 
 /// Maximum accepted frame size (matches the wire crate's field limit).
 const MAX_FRAME_BYTES: u32 = 16 * 1024 * 1024;
@@ -263,7 +259,7 @@ impl Outbound {
 /// returns at once and the drain after that answer takes the input by
 /// the same argument. A ring whose input an earlier drain already took
 /// costs one empty wake, nothing more.
-struct Doorbell {
+pub(crate) struct Doorbell {
     eventfd: File,
     rung: AtomicBool,
 }
@@ -278,7 +274,7 @@ impl Doorbell {
     }
 
     /// Wakes the node. Call after queueing the input.
-    fn ring(&self) {
+    pub(crate) fn ring(&self) {
         if !self.rung.swap(true, Ordering::AcqRel) {
             // Fails only if the counter would overflow, and then the
             // node is already woken.
@@ -295,22 +291,8 @@ impl Doorbell {
     }
 }
 
-/// The cluster handle's side of one node's inbox.
-struct InboxSender {
-    inputs: SyncSender<LoopInput>,
-    doorbell: Arc<Doorbell>,
-}
-
-impl InboxSender {
-    fn send(&self, input: LoopInput) {
-        if self.inputs.send(input).is_ok() {
-            self.doorbell.ring();
-        }
-    }
-}
-
 /// A node's sockets and inbox. Only the node's own thread touches them.
-struct TcpLink {
+pub(crate) struct TcpLink {
     inbox: Receiver<LoopInput>,
     doorbell: Arc<Doorbell>,
     inbound: Vec<Inbound<TcpStream>>,
@@ -481,6 +463,67 @@ impl PeerLink for TcpLink {
     }
 }
 
+/// A node's link and the cluster handle's side of its inbox, over the
+/// given sockets.
+fn node_link(
+    inbound: Vec<TcpStream>,
+    outbound: Vec<Option<TcpStream>>,
+) -> io::Result<(TcpLink, Inbox)> {
+    let (inputs, inbox) = sync_channel(INBOX_CAPACITY);
+    let doorbell = Arc::new(Doorbell::new()?);
+    let link = TcpLink::new(inbox, Arc::clone(&doorbell), inbound, outbound)?;
+    let doorbell = Some(doorbell);
+    Ok((link, Inbox { inputs, doorbell }))
+}
+
+/// The socket transport: a full TCP mesh on loopback, one thread per node
+/// owning all of that node's sockets.
+pub struct Tcp;
+
+impl Transport for Tcp {
+    const THREAD_NAME: &'static str = "zugchain-tcp";
+    type Link = TcpLink;
+
+    fn connect(n: usize) -> io::Result<Vec<(TcpLink, Inbox)>> {
+        // Bind every node's listener first so all addresses are known.
+        let listeners: Vec<TcpListener> = (0..n)
+            .map(|_| TcpListener::bind("127.0.0.1:0"))
+            .collect::<io::Result<_>>()?;
+        let addresses: Vec<SocketAddr> = listeners
+            .iter()
+            .map(TcpListener::local_addr)
+            .collect::<io::Result<_>>()?;
+
+        // Full mesh: node i owns outbound connections to every peer. A
+        // loopback connect completes in the listener's backlog, so every
+        // connection is dialled first and accepted after.
+        let outbound: Vec<Vec<Option<TcpStream>>> = (0..n)
+            .map(|id| {
+                (0..n)
+                    .map(|peer| {
+                        (peer != id)
+                            .then(|| TcpStream::connect(addresses[peer]))
+                            .transpose()
+                    })
+                    .collect::<io::Result<_>>()
+            })
+            .collect::<io::Result<_>>()?;
+        let inbound: Vec<Vec<TcpStream>> = listeners
+            .iter()
+            .map(|listener| {
+                (1..n)
+                    .map(|_| listener.accept().map(|(stream, _)| stream))
+                    .collect::<io::Result<_>>()
+            })
+            .collect::<io::Result<_>>()?;
+        inbound
+            .into_iter()
+            .zip(outbound)
+            .map(|(inbound, outbound)| node_link(inbound, outbound))
+            .collect()
+    }
+}
+
 /// A live ZugChain cluster whose replica network is real TCP on loopback.
 ///
 /// # Examples
@@ -498,22 +541,7 @@ impl PeerLink for TcpLink {
 /// # Ok(())
 /// # }
 /// ```
-pub struct TcpCluster {
-    inboxes: Vec<InboxSender>,
-    events: Receiver<ClusterEvent>,
-    handles: Vec<JoinHandle<NodeSummary>>,
-    registry: Arc<Registry>,
-    telemetry: Vec<Telemetry>,
-    traces: Arc<TraceStore>,
-    status: ApiServer,
-    /// Socket addresses the nodes listen on, by node id.
-    pub addresses: Vec<SocketAddr>,
-    /// Address of the live status server: `GET /metrics` returns the
-    /// cluster's Prometheus-text snapshot (`GET /healthz` for liveness).
-    /// This is a [`zugchain_api::ApiServer`] with no archive backend —
-    /// the same exposition path the fleet's query front end uses.
-    pub status_address: SocketAddr,
-}
+pub type TcpCluster = LiveCluster<Tcp>;
 
 impl TcpCluster {
     /// Starts `n` nodes listening on loopback and fully meshed over TCP.
@@ -522,165 +550,24 @@ impl TcpCluster {
     ///
     /// Propagates socket errors from binding, accepting, or connecting.
     pub fn start(n: usize, config: NodeConfig) -> io::Result<Self> {
-        let (pairs, keystore) = Keystore::generate(n, 0x7C9);
-        let (event_tx, event_rx) = channel();
-        let registry = Arc::new(Registry::new());
-        let traces = Arc::new(TraceStore::new());
-        let telemetry: Vec<Telemetry> = (0..n)
-            .map(|id| {
-                Telemetry::new_with_store(
-                    id as u64,
-                    Arc::clone(&registry),
-                    config.trace_capacity,
-                    Some(Arc::clone(&traces)),
-                )
-            })
-            .collect();
-
-        // The live read path: the API server with no archive behind it
-        // serves `/metrics` (and `/healthz`) over real HTTP — one
-        // exposition path shared with the fleet query front end.
-        let status = ApiServer::start(ApiConfig::open(), Backend::None, Arc::clone(&registry))?;
-        let status_address = status.address();
-
-        // Bind every node's listener first so all addresses are known.
-        let listeners: Vec<TcpListener> = (0..n)
-            .map(|_| TcpListener::bind("127.0.0.1:0"))
-            .collect::<io::Result<_>>()?;
-        let addresses: Vec<SocketAddr> = listeners
-            .iter()
-            .map(TcpListener::local_addr)
-            .collect::<io::Result<_>>()?;
-
-        // Full mesh: node i owns outbound connections to every peer. A
-        // loopback connect completes in the listener's backlog, so every
-        // connection is dialled first and accepted after.
-        let mut outbound: Vec<Vec<Option<TcpStream>>> = (0..n)
-            .map(|id| {
-                (0..n)
-                    .map(|peer| {
-                        (peer != id)
-                            .then(|| TcpStream::connect(addresses[peer]))
-                            .transpose()
-                    })
-                    .collect::<io::Result<_>>()
-            })
-            .collect::<io::Result<_>>()?;
-        let mut inbound: Vec<Vec<TcpStream>> = listeners
-            .iter()
-            .map(|listener| {
-                (1..n)
-                    .map(|_| listener.accept().map(|(stream, _)| stream))
-                    .collect::<io::Result<_>>()
-            })
-            .collect::<io::Result<_>>()?;
-
-        let mut inboxes = Vec::with_capacity(n);
-        let mut links = Vec::with_capacity(n);
-        for id in 0..n {
-            let (inputs, inbox) = sync_channel(INBOX_CAPACITY);
-            let doorbell = Arc::new(Doorbell::new()?);
-            links.push(TcpLink::new(
-                inbox,
-                Arc::clone(&doorbell),
-                std::mem::take(&mut inbound[id]),
-                std::mem::take(&mut outbound[id]),
-            )?);
-            inboxes.push(InboxSender { inputs, doorbell });
-        }
-
-        let start = Instant::now();
-        let handles = links
-            .into_iter()
-            .enumerate()
-            .map(|(id, link)| {
-                let node = ZugchainNode::new(
-                    id as u64,
-                    config.clone(),
-                    Nsdb::jru_default(),
-                    pairs[id].clone(),
-                    keystore.clone(),
-                );
-                let events = event_tx.clone();
-                let node_telemetry = telemetry[id].clone();
-                std::thread::Builder::new()
-                    .name(format!("zugchain-tcp-{id}"))
-                    .spawn(move || node_loop(node, link, events, None, node_telemetry, start))
-                    .expect("spawn node thread")
-            })
-            .collect();
-
-        Ok(Self {
-            inboxes,
-            events: event_rx,
-            handles,
-            registry,
-            telemetry,
-            traces,
-            status,
-            addresses,
-            status_address,
-        })
+        launch(n, config, None)
     }
 
-    /// The cluster's shared metrics registry.
-    pub fn registry(&self) -> Arc<Registry> {
-        Arc::clone(&self.registry)
-    }
-
-    /// A Prometheus-text snapshot of every node's metrics (the same text
-    /// the status responder serves on [`status_address`](Self::status_address)).
-    pub fn metrics_text(&self) -> String {
-        self.registry.render_prometheus()
-    }
-
-    /// JSONL dump of one node's event ring (empty when out of range).
-    pub fn trace_jsonl(&self, node: usize) -> String {
-        self.telemetry
-            .get(node)
-            .map(Telemetry::dump_jsonl)
-            .unwrap_or_default()
-    }
-
-    /// The cluster-wide view over the nodes' rings, for cross-node trace
-    /// assembly.
-    pub fn trace_store(&self) -> Arc<TraceStore> {
-        Arc::clone(&self.traces)
-    }
-
-    /// Delivers the same consolidated payload to every node.
-    pub fn feed_bus_payload_all(&self, payload: Vec<u8>) {
-        for inbox in &self.inboxes {
-            inbox.send(LoopInput::RawPayload(payload.clone()));
-        }
-    }
-
-    /// Delivers a payload to one node only (diverging reception).
-    pub fn feed_bus_payload(&self, node: usize, payload: Vec<u8>) {
-        self.inboxes[node].send(LoopInput::RawPayload(payload));
-    }
-
-    /// Crashes a node: it stops processing but its thread stays alive so
-    /// its state can still be collected at shutdown.
-    pub fn crash(&self, node: usize) {
-        self.inboxes[node].send(LoopInput::Crash);
-    }
-
-    /// The event stream.
-    pub fn events(&self) -> &Receiver<ClusterEvent> {
-        &self.events
-    }
-
-    /// Stops all nodes and returns their final state.
-    pub fn shutdown(mut self) -> Vec<NodeSummary> {
-        for inbox in &self.inboxes {
-            inbox.send(LoopInput::Shutdown);
-        }
-        self.status.stop();
-        self.handles
-            .into_iter()
-            .map(|handle| handle.join().expect("node thread panicked"))
-            .collect()
+    /// Starts `n` meshed nodes that persist to, or resume from,
+    /// `dir/node-<id>/`, exactly as
+    /// [`ThreadedCluster::start_with_disk`](crate::runtime::ThreadedCluster::start_with_disk)
+    /// does: four replicas over sockets, each writing its own disk.
+    ///
+    /// # Errors
+    ///
+    /// Socket errors as [`start`](Self::start), and I/O errors in a data
+    /// directory.
+    pub fn start_with_disk(
+        n: usize,
+        config: NodeConfig,
+        dir: impl AsRef<Path>,
+    ) -> io::Result<Self> {
+        launch(n, config, Some(dir.as_ref()))
     }
 }
 
@@ -689,9 +576,16 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
+    use std::sync::mpsc::channel;
     use std::sync::Mutex;
-    use zugchain::{LayerMessage, SignedRequest};
-    use zugchain_crypto::{Digest, KeyPair};
+    use std::thread::JoinHandle;
+    use zugchain::{LayerMessage, SignedRequest, ZugchainNode};
+    use zugchain_crypto::{Digest, KeyPair, Keystore};
+    use zugchain_mvb::{Bus, BusConfig, Nsdb, SignalGenerator};
+    use zugchain_telemetry::Telemetry;
+
+    use crate::node_loop::node_loop;
+    use crate::runtime::{ClusterEvent, NodeSummary, ThreadedCluster};
     use zugchain_pbft::{
         Checkpoint, CheckpointProof, Commit, Message, NewView, NodeId, PrePrepare, Prepare,
         PreparedCert, ProposedBatch, ProposedRequest, SignedMessage, ViewChange,
@@ -699,7 +593,7 @@ mod tests {
 
     /// Per-node block progress from the registry; used both to converge
     /// and to produce a useful timeout diagnostic.
-    fn blocks_by_node(cluster: &TcpCluster, n: usize) -> Vec<u64> {
+    fn blocks_by_node<T>(cluster: &LiveCluster<T>, n: usize) -> Vec<u64> {
         let registry = cluster.registry();
         (0..n)
             .map(|i| {
@@ -711,7 +605,7 @@ mod tests {
             .collect()
     }
 
-    fn decided_up_to_by_node(cluster: &TcpCluster, n: usize) -> Vec<i64> {
+    fn decided_up_to_by_node<T>(cluster: &LiveCluster<T>, n: usize) -> Vec<i64> {
         let registry = cluster.registry();
         (0..n)
             .map(|i| {
@@ -723,10 +617,17 @@ mod tests {
             .collect()
     }
 
+    /// Over real sockets, and over channels as one more input: both live
+    /// clusters order the payloads and serve `/metrics` on their status
+    /// address.
     #[test]
     fn tcp_cluster_orders_over_real_sockets() {
         let config = NodeConfig::evaluation_default().with_block_size(3);
-        let cluster = TcpCluster::start(4, config).expect("loopback sockets");
+        orders_and_serves_metrics(TcpCluster::start(4, config.clone()).expect("loopback sockets"));
+        orders_and_serves_metrics(ThreadedCluster::start(4, config));
+    }
+
+    fn orders_and_serves_metrics<T>(cluster: LiveCluster<T>) {
         for tag in 0..6u8 {
             cluster.feed_bus_payload_all(vec![tag; 128]);
             std::thread::sleep(Duration::from_millis(25));
@@ -767,6 +668,41 @@ mod tests {
         }
     }
 
+    /// JRU telegrams from the simulated MVB, fed per tap as the
+    /// `train_journey` example feeds them, reach every node over sockets:
+    /// all four log the same requests.
+    #[test]
+    fn tcp_cluster_logs_jru_telegrams() {
+        let cluster = TcpCluster::start(4, NodeConfig::evaluation_default().with_block_size(5))
+            .expect("loopback sockets");
+        let mut bus = Bus::new(BusConfig::jru_default(64), 4, 7);
+        bus.attach_device(Box::new(SignalGenerator::new(2026)));
+        for _ in 0..60 {
+            let out = bus.run_cycle();
+            for obs in out.observations {
+                cluster.feed_telegrams(obs.tap, out.cycle, out.time_ms, obs.telegrams);
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // Collect until the cluster has been quiet for a second.
+        let mut logged: Vec<Vec<(u64, Digest)>> = vec![Vec::new(); 4];
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while let Ok(event) = cluster.events().recv_timeout(Duration::from_secs(1)) {
+            assert!(Instant::now() < deadline, "the cluster never went quiet");
+            if let ClusterEvent::Logged {
+                node, sn, digest, ..
+            } = event
+            {
+                logged[node.0 as usize].push((sn, digest));
+            }
+        }
+        cluster.shutdown();
+        assert!(!logged[0].is_empty(), "the journey logged nothing");
+        for (node, log) in logged.iter().enumerate() {
+            assert_eq!(*log, logged[0], "node {node} agrees with node 0");
+        }
+    }
+
     /// A signed request broadcast carrying `payload`, signed by the first
     /// key of `seed`'s keyset.
     fn request_message(payload: Vec<u8>, seed: u64) -> NodeMessage {
@@ -797,14 +733,8 @@ mod tests {
     }
 
     /// A link over the given sockets, and the handle that feeds its inbox.
-    fn test_link(
-        inbound: Vec<TcpStream>,
-        outbound: Vec<Option<TcpStream>>,
-    ) -> (TcpLink, InboxSender) {
-        let (inputs, inbox) = sync_channel(INBOX_CAPACITY);
-        let doorbell = Arc::new(Doorbell::new().unwrap());
-        let link = TcpLink::new(inbox, Arc::clone(&doorbell), inbound, outbound).unwrap();
-        (link, InboxSender { inputs, doorbell })
+    fn test_link(inbound: Vec<TcpStream>, outbound: Vec<Option<TcpStream>>) -> (TcpLink, Inbox) {
+        node_link(inbound, outbound).unwrap()
     }
 
     /// Every frame a blocking socket carries until it closes, and the
@@ -1333,7 +1263,7 @@ mod tests {
         n: usize,
         config: NodeConfig,
     ) -> (
-        Vec<InboxSender>,
+        Vec<Inbox>,
         Receiver<ClusterEvent>,
         Vec<JoinHandle<NodeSummary>>,
         Vec<TcpStream>,

@@ -64,6 +64,10 @@ fn main() {
         stall.latency.mean_ms(),
         stall.view_changes
     );
+    assert_eq!(
+        stall.view_changes, 0,
+        "a stall inside the timeouts deposed the primary"
+    );
 
     println!("attack 3: primary crashes at t = 8 s");
     let crash = run_scenario(
@@ -96,4 +100,9 @@ fn main() {
         "  → no request was lost: {} unlogged",
         crash.unlogged_requests
     );
+    assert!(
+        crash.view_changes >= 1,
+        "the crashed primary was never replaced"
+    );
+    assert_eq!(crash.unlogged_requests, 0, "the fail-over lost requests");
 }

@@ -5,7 +5,8 @@
 //!
 //! * the discrete-event simulator ([`zugchain_sim::run_scenario`]),
 //! * the in-process threaded cluster ([`ThreadedCluster`]),
-//! * the real-socket cluster ([`TcpCluster`]),
+//! * the real-socket cluster ([`TcpCluster`]), also with every node
+//!   persisting to its own disk (the deployment shape),
 //!
 //! and every node must decide the identical `(sn, digest)` sequence.
 //! The suite also covers the timer-generation contract: soft timeouts
@@ -167,11 +168,20 @@ fn all_three_runtimes_decide_the_identical_sequence() {
         live_decided!(TcpCluster::start(N, node_config(1)).expect("loopback sockets available"));
     check_one_runtime(&tcp, "tcp");
 
+    let dir = std::env::temp_dir().join(format!("zugchain-conformance-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let tcp_disk = live_decided!(TcpCluster::start_with_disk(N, node_config(1), &dir)
+        .expect("loopback sockets and a data directory available"));
+    let _ = std::fs::remove_dir_all(&dir);
+    check_one_runtime(&tcp_disk, "tcp+disk");
+
     // The tentpole claim: one driver, one behaviour. The full (sn,
     // digest) logs — not just the payload sets — line up across the
-    // simulator, the threaded runtime, and real sockets.
+    // simulator, the threaded runtime, and real sockets, with or
+    // without disk.
     assert_eq!(sim, threaded, "sim and threaded decided identically");
     assert_eq!(threaded, tcp, "threaded and tcp decided identically");
+    assert_eq!(tcp, tcp_disk, "tcp and tcp+disk decided identically");
 }
 
 /// The same scenario with consensus batching on (`max_batch_size` 16).
