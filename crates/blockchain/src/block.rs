@@ -1,7 +1,10 @@
 use std::fmt;
 
-use zugchain_crypto::Digest;
-use zugchain_wire::{decode_seq, encode_seq, Decode, Encode, Reader, WireError, Writer};
+use zugchain_crypto::{Digest, DigestHasher};
+use zugchain_wire::{
+    decode_seq, encode_seq, put_varint, varint_len, Decode, Encode, Reader, WireError, Writer,
+    MAX_VARINT_LEN,
+};
 
 /// One totally ordered request as logged by the ZugChain layer.
 ///
@@ -18,19 +21,39 @@ pub struct LoggedRequest {
     pub payload: Vec<u8>,
 }
 
+/// The longest encoding of a request's fields before its payload bytes.
+const REQUEST_HEAD_LEN: usize = 8 + 8 + MAX_VARINT_LEN;
+
 impl LoggedRequest {
     /// Digest of the payload only — the identity used for duplicate
     /// filtering (content-based, independent of `sn`/`origin`).
     pub fn payload_digest(&self) -> Digest {
         Digest::of(&self.payload)
     }
+
+    /// The encoding up to the payload bytes — `sn`, `origin` and the
+    /// payload's length prefix — and how many of the buffer's bytes it
+    /// uses. The encoding is this head followed by the payload.
+    fn head(&self) -> ([u8; REQUEST_HEAD_LEN], usize) {
+        let mut head = [0u8; REQUEST_HEAD_LEN];
+        head[..8].copy_from_slice(&self.sn.to_le_bytes());
+        head[8..16].copy_from_slice(&self.origin.to_le_bytes());
+        let mut prefix = [0u8; MAX_VARINT_LEN];
+        let prefix_len = put_varint(&mut prefix, self.payload.len() as u64);
+        head[16..16 + prefix_len].copy_from_slice(&prefix[..prefix_len]);
+        (head, 16 + prefix_len)
+    }
 }
 
 impl Encode for LoggedRequest {
     fn encode(&self, w: &mut Writer) {
-        w.write_u64(self.sn);
-        w.write_u64(self.origin);
-        w.write_bytes(&self.payload);
+        let (head, len) = self.head();
+        w.write_raw(&head[..len]);
+        w.write_raw(&self.payload);
+    }
+
+    fn encoded_len(&self) -> usize {
+        16 + varint_len(self.payload.len() as u64) + self.payload.len()
     }
 }
 
@@ -81,6 +104,10 @@ impl Encode for BlockHeader {
         w.write_u64(self.last_sn);
         w.write_u64(self.time_ms);
     }
+
+    fn encoded_len(&self) -> usize {
+        8 + 32 + 32 + 8 + 8 + 8
+    }
 }
 
 impl Decode for BlockHeader {
@@ -122,11 +149,20 @@ impl Block {
         }
     }
 
-    /// Computes the payload digest over a request list.
+    /// Computes the payload digest over a request list: the SHA-256 of
+    /// the list's canonical encoding (`encode_seq`), fed to the hash
+    /// piece by piece instead of encoded into a buffer first.
     pub fn payload_hash_of(requests: &[LoggedRequest]) -> Digest {
-        let mut w = Writer::new();
-        encode_seq(requests, &mut w);
-        Digest::of(w.as_bytes())
+        let mut hasher = DigestHasher::new();
+        let mut count = [0u8; MAX_VARINT_LEN];
+        let count_len = put_varint(&mut count, requests.len() as u64);
+        hasher.update(&count[..count_len]);
+        for request in requests {
+            let (head, len) = request.head();
+            hasher.update(&head[..len]);
+            hasher.update(&request.payload);
+        }
+        hasher.finish()
     }
 
     /// Builds the successor of the block with hash `prev_hash` at
@@ -200,6 +236,16 @@ impl Encode for Block {
     fn encode(&self, w: &mut Writer) {
         self.header.encode(w);
         encode_seq(&self.requests, w);
+    }
+
+    fn encoded_len(&self) -> usize {
+        self.header.encoded_len()
+            + varint_len(self.requests.len() as u64)
+            + self
+                .requests
+                .iter()
+                .map(LoggedRequest::encoded_len)
+                .sum::<usize>()
     }
 }
 
@@ -278,6 +324,26 @@ mod tests {
         let back: Block = zugchain_wire::from_bytes(&zugchain_wire::to_bytes(&block)).unwrap();
         assert_eq!(back, block);
         assert_eq!(back.hash(), block.hash());
+    }
+
+    #[test]
+    fn payload_hash_is_the_hash_of_the_encoded_requests() {
+        for count in [0, 1, 3, 200] {
+            let requests: Vec<LoggedRequest> = (1..=count)
+                .map(|sn| LoggedRequest {
+                    sn,
+                    origin: sn % 4,
+                    payload: vec![sn as u8; (sn as usize * 37) % 300],
+                })
+                .collect();
+            let mut w = Writer::new();
+            encode_seq(&requests, &mut w);
+            assert_eq!(
+                Block::payload_hash_of(&requests),
+                Digest::of(w.as_bytes()),
+                "{count} requests"
+            );
+        }
     }
 
     #[test]

@@ -77,6 +77,18 @@ impl BlockBuilder {
     /// Panics if `request.sn` is not greater than the last buffered
     /// sequence number — the BFT layer delivers in order.
     pub fn push(&mut self, request: LoggedRequest, time_ms: u64) -> Option<Block> {
+        self.seal(request, time_ms).map(SealedBlock::into_block)
+    }
+
+    /// [`push`](Self::push) for a replica's own chain: the finished block
+    /// comes as a [`SealedBlock`], which
+    /// [`ChainStore::append_sealed`](crate::ChainStore::append_sealed)
+    /// takes without hashing its payload a second time.
+    ///
+    /// # Panics
+    ///
+    /// As [`push`](Self::push).
+    pub fn seal(&mut self, request: LoggedRequest, time_ms: u64) -> Option<SealedBlock> {
         if let Some(last) = self.pending.last() {
             assert!(
                 request.sn > last.sn,
@@ -89,11 +101,7 @@ impl BlockBuilder {
         if self.pending.len() < self.block_size {
             return None;
         }
-        let requests = std::mem::take(&mut self.pending);
-        let block = Block::next(self.next_height, self.prev_hash, requests, time_ms);
-        self.next_height += 1;
-        self.prev_hash = block.hash();
-        Some(block)
+        Some(self.finish_block(time_ms))
     }
 
     /// Flushes buffered requests into a (possibly undersized) block.
@@ -105,11 +113,48 @@ impl BlockBuilder {
         if self.pending.is_empty() {
             return None;
         }
+        Some(self.finish_block(time_ms).into_block())
+    }
+
+    fn finish_block(&mut self, time_ms: u64) -> SealedBlock {
         let requests = std::mem::take(&mut self.pending);
         let block = Block::next(self.next_height, self.prev_hash, requests, time_ms);
+        let hash = block.hash();
         self.next_height += 1;
-        self.prev_hash = block.hash();
-        Some(block)
+        self.prev_hash = hash;
+        SealedBlock { block, hash }
+    }
+}
+
+/// A block exactly as a [`BlockBuilder`] made it, with its hash.
+///
+/// Only a builder can create one, and it computed the header's payload
+/// hash from these very requests, so the payload hash is consistent by
+/// construction: [`ChainStore::append_sealed`](crate::ChainStore::append_sealed)
+/// checks the block's height and link but does not re-hash its payload.
+/// Blocks from anywhere else — disk, a state transfer, an export — are
+/// plain [`Block`]s and go through [`ChainStore::append`](crate::ChainStore::append),
+/// which does.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SealedBlock {
+    block: Block,
+    hash: Digest,
+}
+
+impl SealedBlock {
+    /// The block.
+    pub fn block(&self) -> &Block {
+        &self.block
+    }
+
+    /// The block's hash, computed once when it was built.
+    pub fn hash(&self) -> Digest {
+        self.hash
+    }
+
+    /// Unwraps the block.
+    pub fn into_block(self) -> Block {
+        self.block
     }
 }
 
@@ -178,6 +223,21 @@ mod tests {
         let block = builder.flush(100).expect("pending requests flush");
         assert_eq!(block.requests.len(), 2);
         assert!(builder.flush(200).is_none());
+    }
+
+    #[test]
+    fn sealed_blocks_are_the_pushed_blocks_with_their_hashes() {
+        let mut pushed = BlockBuilder::new(2);
+        let mut sealed = BlockBuilder::new(2);
+        for sn in 1..=6 {
+            let block = pushed.push(req(sn), sn * 64);
+            let sealed_block = sealed.seal(req(sn), sn * 64);
+            assert_eq!(block.is_some(), sealed_block.is_some());
+            if let (Some(block), Some(sealed_block)) = (block, sealed_block) {
+                assert_eq!(sealed_block.hash(), block.hash());
+                assert_eq!(sealed_block.into_block(), block);
+            }
+        }
     }
 
     #[test]

@@ -50,7 +50,7 @@ mod store;
 mod verify;
 
 pub use block::{Block, BlockHeader, LoggedRequest};
-pub use builder::BlockBuilder;
+pub use builder::{BlockBuilder, SealedBlock};
 pub use disk::{DiskStore, RecoveredChain};
 pub use store::{ChainError, ChainStore, PrunedBase};
 pub use verify::{verify_chain, ChainViolation};

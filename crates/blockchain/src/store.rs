@@ -1,8 +1,9 @@
 use std::fmt;
 
 use zugchain_crypto::Digest;
+use zugchain_wire::Encode;
 
-use crate::{Block, BlockHeader};
+use crate::{Block, BlockHeader, SealedBlock};
 
 /// Errors from [`ChainStore`] operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -196,6 +197,29 @@ impl ChainStore {
     /// * [`ChainError::DoesNotExtendHead`] if the hash link is wrong;
     /// * [`ChainError::InconsistentPayload`] if the payload hash lies.
     pub fn append(&mut self, block: Block) -> Result<(), ChainError> {
+        self.check_extends_head(&block)?;
+        if !block.payload_is_consistent() {
+            return Err(ChainError::InconsistentPayload);
+        }
+        self.push(block);
+        Ok(())
+    }
+
+    /// Appends a block this replica's own [`BlockBuilder`](crate::BlockBuilder)
+    /// just built. Its payload hash was computed from its requests when it
+    /// was built, so only the height and the link are checked.
+    ///
+    /// # Errors
+    ///
+    /// * [`ChainError::WrongHeight`] if the height is not `head + 1`;
+    /// * [`ChainError::DoesNotExtendHead`] if the hash link is wrong.
+    pub fn append_sealed(&mut self, block: SealedBlock) -> Result<(), ChainError> {
+        self.check_extends_head(block.block())?;
+        self.push(block.into_block());
+        Ok(())
+    }
+
+    fn check_extends_head(&self, block: &Block) -> Result<(), ChainError> {
         let expected_height = self.height() + 1;
         if block.height() != expected_height {
             return Err(ChainError::WrongHeight {
@@ -203,18 +227,19 @@ impl ChainStore {
                 actual: block.height(),
             });
         }
-        if block.header.prev_hash != self.head_hash() {
+        let head = self.head_hash();
+        if block.header.prev_hash != head {
             return Err(ChainError::DoesNotExtendHead {
-                head: self.head_hash(),
+                head,
                 got: block.header.prev_hash,
             });
         }
-        if !block.payload_is_consistent() {
-            return Err(ChainError::InconsistentPayload);
-        }
+        Ok(())
+    }
+
+    fn push(&mut self, block: Block) {
         self.resident_bytes += block.encoded_size();
         self.blocks.push(block);
-        Ok(())
     }
 
     /// Prunes all blocks up to and including `base.height`, keeping that
@@ -264,7 +289,7 @@ impl ChainStore {
             let height = block.height();
             self.resident_bytes = self.resident_bytes.saturating_sub(block.encoded_size());
             let header = block.header;
-            self.resident_bytes += zugchain_wire::to_bytes(&header).len();
+            self.resident_bytes += header.encoded_len();
             self.header_stubs.push(header);
             stubbed += 1;
             // The suffix now chains onto the stubbed block.
@@ -341,11 +366,62 @@ mod tests {
     }
 
     #[test]
+    fn append_rejects_a_block_whose_payload_hash_lies() {
+        let mut store = store_with(2);
+        let mut block = block_at(3, store.head_hash());
+        block.header.payload_hash = Digest::of(b"not these requests");
+        assert_eq!(store.append(block), Err(ChainError::InconsistentPayload));
+        assert_eq!(store.height(), 2, "nothing appended");
+    }
+
+    #[test]
     fn range_is_exclusive_inclusive() {
         let store = store_with(5);
         let blocks = store.range(1, 4);
         let heights: Vec<u64> = blocks.iter().map(Block::height).collect();
         assert_eq!(heights, vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn sealed_blocks_append_without_a_payload_check_but_with_a_link_check() {
+        let mut builder = crate::BlockBuilder::new(2);
+        let mut store = ChainStore::new();
+        let mut other = ChainStore::new();
+        for sn in 1..=4 {
+            let request = LoggedRequest {
+                sn,
+                origin: 0,
+                payload: vec![sn as u8; 32],
+            };
+            if let Some(sealed) = builder.seal(request, sn * 64) {
+                other.append(sealed.block().clone()).unwrap();
+                let hash = sealed.hash();
+                store.append_sealed(sealed).unwrap();
+                assert_eq!(store.head_hash(), hash);
+            }
+        }
+        assert_eq!(store.blocks(), other.blocks());
+        assert_eq!(store.resident_bytes(), other.resident_bytes());
+        // A sealed block that does not extend this store's head is refused.
+        let mut fresh = ChainStore::new();
+        let mut builder = crate::BlockBuilder::resume(1, 5, Digest::of(b"elsewhere"));
+        let sealed = builder
+            .seal(
+                LoggedRequest {
+                    sn: 99,
+                    origin: 0,
+                    payload: vec![1],
+                },
+                0,
+            )
+            .unwrap();
+        assert!(matches!(
+            fresh.append_sealed(sealed),
+            Err(ChainError::WrongHeight {
+                expected: 1,
+                actual: 6
+            })
+        ));
     }
 
     #[test]

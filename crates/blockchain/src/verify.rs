@@ -72,7 +72,8 @@ impl fmt::Display for ChainViolation {
 
 impl std::error::Error for ChainViolation {}
 
-/// Verifies a contiguous chain segment.
+/// Verifies a contiguous chain segment and returns the hash of its last
+/// block, which the check computes anyway.
 ///
 /// Checks, per block: payload consistency, consecutive heights, hash
 /// linkage, and monotonically increasing sequence-number ranges. If
@@ -84,7 +85,7 @@ impl std::error::Error for ChainViolation {}
 /// # Errors
 ///
 /// The first [`ChainViolation`] encountered, scanning front to back.
-pub fn verify_chain(blocks: &[Block], base: Option<Digest>) -> Result<(), ChainViolation> {
+pub fn verify_chain(blocks: &[Block], base: Option<Digest>) -> Result<Digest, ChainViolation> {
     let first = blocks.first().ok_or(ChainViolation::Empty)?;
     if let Some(expected) = base {
         if first.header.prev_hash != expected {
@@ -95,7 +96,7 @@ pub fn verify_chain(blocks: &[Block], base: Option<Digest>) -> Result<(), ChainV
         }
     }
 
-    let mut prev_hash = None;
+    let mut prev_hash: Option<Digest> = None;
     let mut prev_height = None;
     let mut prev_last_sn = None;
     for block in blocks {
@@ -126,7 +127,7 @@ pub fn verify_chain(blocks: &[Block], base: Option<Digest>) -> Result<(), ChainV
         prev_height = Some(height);
         prev_last_sn = Some(block.header.last_sn);
     }
-    Ok(())
+    Ok(prev_hash.expect("the segment is not empty"))
 }
 
 #[cfg(test)]
@@ -154,14 +155,18 @@ mod tests {
 
     #[test]
     fn valid_chain_verifies() {
-        assert_eq!(verify_chain(&chain(5), None), Ok(()));
+        let blocks = chain(5);
+        assert_eq!(verify_chain(&blocks, None), Ok(blocks[5].hash()));
     }
 
     #[test]
     fn valid_chain_verifies_against_base() {
         let blocks = chain(3);
         // Segment starting after genesis, verified against genesis hash.
-        assert_eq!(verify_chain(&blocks[1..], Some(blocks[0].hash())), Ok(()));
+        assert_eq!(
+            verify_chain(&blocks[1..], Some(blocks[0].hash())),
+            Ok(blocks[3].hash())
+        );
     }
 
     #[test]

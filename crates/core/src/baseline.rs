@@ -155,11 +155,12 @@ impl BaselineNode {
             origin: request.origin.0,
             payload: request.payload,
         };
-        if let Some(block) = self.builder.push(logged, request.time_ms) {
-            let block_hash = block.hash();
+        if let Some(sealed) = self.builder.seal(logged, request.time_ms) {
+            let block_hash = sealed.hash();
+            let block = sealed.block().clone();
             let last_sn = block.header.last_sn;
             self.store
-                .append(block.clone())
+                .append_sealed(sealed)
                 .expect("builder output always extends the local chain");
             self.stats.blocks_created += 1;
             self.metrics.blocks.inc();

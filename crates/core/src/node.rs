@@ -4,7 +4,9 @@ use zugchain_blockchain::{Block, BlockBuilder, ChainStore, LoggedRequest};
 use zugchain_crypto::{Digest, KeyPair, Keystore};
 use zugchain_machine::{Effect, Machine};
 use zugchain_mvb::{Nsdb, Telegram};
-use zugchain_pbft::{CheckpointProof, NodeId, ProposedRequest, Replica, ReplicaEvent};
+use zugchain_pbft::{
+    CheckpointProof, DigestedRequest, NodeId, ProposedRequest, Replica, ReplicaEvent,
+};
 use zugchain_signals::CycleConsolidator;
 use zugchain_telemetry::{Span, Stage};
 use zugchain_wire::{derive_span_id, derive_trace_id, TrainId};
@@ -117,7 +119,8 @@ pub struct NodeStats {
 /// A request known to this node but not yet decided.
 #[derive(Debug, Clone)]
 struct Pending {
-    request: ProposedRequest,
+    /// The request with its payload digest, hashed once on intake.
+    request: DigestedRequest,
     /// `true` if this node read the request from the bus itself (it is in
     /// the node's own queue R of Alg. 1).
     mine: bool,
@@ -459,7 +462,10 @@ impl ZugchainNode {
             for request in &block.requests {
                 dedup.record(request.payload_digest(), request.sn);
                 if let Some(pending) = self.pending.remove(&request.payload_digest()) {
-                    self.release_open_slot(pending.request.origin, &request.payload_digest());
+                    self.release_open_slot(
+                        pending.request.request().origin,
+                        &request.payload_digest(),
+                    );
                     self.effects.push(Effect::CancelTimer {
                         id: TimerId::Soft(request.payload_digest()),
                     });
@@ -531,7 +537,13 @@ impl ZugchainNode {
 
     /// Algorithm 1, `upon RECEIVE(req)` (ln. 5–11).
     fn handle_local_request(&mut self, payload: Vec<u8>) {
-        let digest = Digest::of(&payload);
+        // The payload is hashed here, once: the duplicate filter, the
+        // pending map and (on the primary) the proposed batch all use
+        // this digest.
+        let request = DigestedRequest::new(
+            ProposedRequest::application(payload, self.id).with_time(self.last_time_ms),
+        );
+        let digest = request.payload_digest();
         if self.dedup.contains(&digest) || self.pending.contains_key(&digest) {
             // Already logged or already in flight: a delayed duplicate
             // delivery from the bus.
@@ -539,7 +551,6 @@ impl ZugchainNode {
             self.metrics.dedup_hits.inc();
             return;
         }
-        let request = ProposedRequest::application(payload, self.id).with_time(self.last_time_ms);
         if self.telemetry.is_enabled() {
             self.trace_origin_spans(&digest);
         }
@@ -617,7 +628,7 @@ impl ZugchainNode {
 
         // ln. 13–16: clear queue entry and any timers.
         if let Some(pending) = self.pending.remove(&digest) {
-            self.release_open_slot(pending.request.origin, &digest);
+            self.release_open_slot(pending.request.request().origin, &digest);
             self.effects.push(Effect::CancelTimer {
                 id: TimerId::Soft(digest),
             });
@@ -654,11 +665,12 @@ impl ZugchainNode {
         };
         // Stamp the block with the *agreed* request time, never a local
         // clock: all replicas must bundle bit-identical blocks.
-        if let Some(block) = self.builder.push(logged, request.time_ms) {
-            let block_hash = block.hash();
+        if let Some(sealed) = self.builder.seal(logged, request.time_ms) {
+            let block_hash = sealed.hash();
+            let block = sealed.block().clone();
             let last_sn = block.header.last_sn;
             self.store
-                .append(block.clone())
+                .append_sealed(sealed)
                 .expect("builder output always extends the local chain");
             self.stats.blocks_created += 1;
             self.metrics.blocks.inc();
@@ -745,7 +757,8 @@ impl ZugchainNode {
             return;
         }
         let signed = message.request().clone();
-        let digest = signed.payload_digest();
+        let intake = DigestedRequest::new(signed.request.clone());
+        let digest = intake.payload_digest();
         let origin = signed.request.origin;
 
         // ln. 26–27: ignore duplicates already in the log.
@@ -773,7 +786,7 @@ impl ZugchainNode {
             self.pending.insert(
                 digest,
                 Pending {
-                    request: signed.request.clone(),
+                    request: intake.clone(),
                     mine: false,
                 },
             );
@@ -786,7 +799,7 @@ impl ZugchainNode {
                     // node, unless it is already in flight.
                     if !already_pending {
                         self.stats.proposed += 1;
-                        self.replica.propose(signed.request);
+                        self.replica.propose(intake);
                         self.pump_replica();
                     }
                 } else {
@@ -807,7 +820,7 @@ impl ZugchainNode {
             LayerMessage::ForwardRequest(_) => {
                 if self.is_primary() && !already_pending {
                     self.stats.proposed += 1;
-                    self.replica.propose(signed.request);
+                    self.replica.propose(intake);
                     self.pump_replica();
                 }
             }
@@ -947,7 +960,7 @@ impl TrainNode for ZugchainNode {
                     return;
                 }
                 self.stats.soft_timeouts += 1;
-                let signed = SignedRequest::sign(pending.request.clone(), &self.key);
+                let signed = SignedRequest::sign(pending.request.request().clone(), &self.key);
                 self.effects.push(Effect::SetTimer {
                     id: TimerId::Hard(digest),
                     duration_ms: self.config.hard_timeout_ms,
@@ -1026,7 +1039,7 @@ impl TrainNode for ZugchainNode {
         let pending_bytes: usize = self
             .pending
             .values()
-            .map(|p| p.request.payload.len() + 96)
+            .map(|p| p.request.request().payload.len() + 96)
             .sum();
         self.replica.approx_memory_bytes()
             + self.store.resident_bytes()

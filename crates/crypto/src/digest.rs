@@ -64,6 +64,41 @@ impl Digest {
     }
 }
 
+/// SHA-256 over bytes handed over in pieces: [`finish`](Self::finish)
+/// returns [`Digest::of`] of their concatenation, which is never built.
+/// Hashing a canonical encoding piece by piece this way gives the digest
+/// of the encoded bytes without encoding into a buffer first.
+///
+/// # Examples
+///
+/// ```
+/// use zugchain_crypto::{Digest, DigestHasher};
+///
+/// let mut hasher = DigestHasher::new();
+/// hasher.update(b"event ");
+/// hasher.update(b"payload");
+/// assert_eq!(hasher.finish(), Digest::of(b"event payload"));
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct DigestHasher(Sha256);
+
+impl DigestHasher {
+    /// A hasher that has absorbed nothing yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Absorbs the next piece.
+    pub fn update(&mut self, bytes: &[u8]) {
+        self.0.update(bytes);
+    }
+
+    /// The digest of everything absorbed, in order.
+    pub fn finish(self) -> Digest {
+        Digest(self.0.finalize().into())
+    }
+}
+
 impl fmt::Debug for Digest {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Digest({}…)", self.short())

@@ -29,6 +29,6 @@ mod keys;
 mod keystore;
 
 pub use batch::{verify_batch, BatchItem, BatchOutcome};
-pub use digest::Digest;
+pub use digest::{Digest, DigestHasher};
 pub use keys::{KeyPair, PublicKey, Signature, SignatureError};
 pub use keystore::Keystore;

@@ -340,13 +340,12 @@ impl DataCenter {
         if new_blocks.is_empty() {
             return Vec::new();
         }
-        if verify_chain(&new_blocks, Some(self.last_hash)).is_err() {
-            return Vec::new();
-        }
         // The sync must be backed by the checkpoint: its digest is the
         // hash of the last block.
-        let last = new_blocks.last().expect("nonempty");
-        if last.hash() != proof.checkpoint.state_digest {
+        let Ok(head_hash) = verify_chain(&new_blocks, Some(self.last_hash)) else {
+            return Vec::new();
+        };
+        if head_hash != proof.checkpoint.state_digest {
             return Vec::new();
         }
         self.metrics.certified_segments.inc();
@@ -356,9 +355,9 @@ impl DataCenter {
             base_height: self.last_height,
             base_hash: self.last_hash,
             blocks: new_blocks.clone(),
-            proof: proof.clone(),
+            proof,
         });
-        self.adopt(new_blocks);
+        self.adopt(new_blocks, head_hash);
         self.metrics.archive_height.set(self.last_height as i64);
         // Step ⑤: "the data centers each sign a delete message" — having
         // verified and stored the blocks, this data center adds its own
@@ -383,12 +382,14 @@ impl DataCenter {
             .insert(ack.node.0);
     }
 
-    fn adopt(&mut self, blocks: Vec<Block>) {
-        for block in blocks {
-            self.last_height = block.height();
-            self.last_hash = block.hash();
-            self.archive.push(block);
+    /// Appends a verified segment to the archive; `head_hash` is the hash
+    /// of its last block, as [`verify_chain`] returned it.
+    fn adopt(&mut self, blocks: Vec<Block>, head_hash: Digest) {
+        if let Some(last) = blocks.last() {
+            self.last_height = last.height();
+            self.last_hash = head_hash;
         }
+        self.archive.extend(blocks);
     }
 
     /// Emits one `export` span per logged request of a certified
@@ -429,6 +430,35 @@ impl DataCenter {
         }
     }
 
+    /// The most recent *verifiable* checkpoint among the replies ("determine
+    /// the latest one with the highest checkpoint sequence number", step ②):
+    /// the reply with the highest checkpoint sn whose block claim matches
+    /// its certificate and whose certificate verifies, the highest replica
+    /// id among equal sns.
+    ///
+    /// Replies are tried best-first, and the search stops at the first that
+    /// passes both checks, so a round verifies one certificate unless a
+    /// better-ranked one fails. Every reply the search skips ranks below
+    /// the one it returns, so it returns the reply that verifying all of
+    /// them and taking the maximum would.
+    fn best_reply(&self, round: &Round) -> Option<CheckpointReply> {
+        let mut ranked: Vec<(u64, u64, &CheckpointReply)> = round
+            .replies
+            .iter()
+            .filter_map(|(id, reply)| Some((reply.proof.as_ref()?.checkpoint.sn, *id, reply)))
+            .collect();
+        ranked.sort_unstable_by_key(|&(sn, id, _)| std::cmp::Reverse((sn, id)));
+        ranked
+            .into_iter()
+            .map(|(_, _, reply)| reply)
+            .find(|reply| {
+                let proof = reply.proof.as_ref().expect("ranked replies carry a proof");
+                reply.block_hash == proof.checkpoint.state_digest
+                    && proof.verify(&self.replica_keystore, self.proof_quorum)
+            })
+            .cloned()
+    }
+
     /// Steps ③–⑤ once enough replies are in.
     fn try_finalize(&mut self) -> Vec<DcEffect> {
         let Some(round) = &self.round else {
@@ -438,26 +468,7 @@ impl DataCenter {
             return Vec::new();
         }
 
-        // Pick the most recent *verifiable* checkpoint among the replies
-        // ("determine the latest one with the highest checkpoint sequence
-        // number", step ②).
-        let best = round
-            .replies
-            .values()
-            .filter_map(|reply| {
-                let proof = reply.proof.as_ref()?;
-                if !proof.verify(&self.replica_keystore, self.proof_quorum) {
-                    return None;
-                }
-                // The reply's block claim must match the proof.
-                if reply.block_hash != proof.checkpoint.state_digest {
-                    return None;
-                }
-                Some((proof.checkpoint.sn, reply.clone()))
-            })
-            .max_by_key(|(sn, _)| *sn);
-
-        let Some((_, best)) = best else {
+        let Some(best) = self.best_reply(round) else {
             // No verifiable checkpoint yet (system just started): round
             // completes empty once quorum answered.
             self.round = None;
@@ -524,29 +535,29 @@ impl DataCenter {
             }];
         }
 
+        // The round ends here, adopted or failed: its staged blocks move
+        // out of it instead of being copied.
+        let mut segment = self.round.take().expect("checked above").staged_blocks;
+        segment.retain(|b| b.height() > self.last_height && b.height() <= best.block_height);
+
         // Validate the chain segment against our archive head and the
         // checkpoint (step ④).
-        let segment: Vec<Block> = staged
-            .iter()
-            .filter(|b| b.height() > self.last_height && b.height() <= best.block_height)
-            .cloned()
-            .collect();
-        if verify_chain(&segment, Some(self.last_hash)).is_err()
-            || segment.last().map(Block::hash) != Some(best.block_hash)
-        {
-            // Corrupt blocks from a faulty replica: retry the round with a
-            // different block source next time.
-            self.metrics.failed_rounds.inc();
-            self.round = None;
-            return vec![Effect::Output(ExportOutcome {
-                exported_blocks: 0,
-                new_height: self.last_height,
-                delete_issued: false,
-            })];
-        }
+        let head_hash = match verify_chain(&segment, Some(self.last_hash)) {
+            Ok(head_hash) if head_hash == best.block_hash => head_hash,
+            _ => {
+                // Corrupt blocks from a faulty replica: retry the round
+                // with a different block source next time.
+                self.metrics.failed_rounds.inc();
+                return vec![Effect::Output(ExportOutcome {
+                    exported_blocks: 0,
+                    new_height: self.last_height,
+                    delete_issued: false,
+                })];
+            }
+        };
 
         let exported = segment.len();
-        let proof = best.proof.clone().expect("verified above");
+        let proof = best.proof.expect("verified above");
         self.metrics.certified_segments.inc();
         self.metrics.blocks.add(exported as u64);
         self.trace_export_spans(&segment);
@@ -557,13 +568,12 @@ impl DataCenter {
             blocks: segment.clone(),
             proof: proof.clone(),
         });
-        self.adopt(segment);
+        self.adopt(segment, head_hash);
         self.metrics.archive_height.set(self.last_height as i64);
         self.telemetry
             .record(|| zugchain_telemetry::Event::ExportRound {
                 blocks: exported as u64,
             });
-        self.round = None;
 
         let mut actions = Vec::new();
         // Step ③: synchronize with the other companies' data centers.
@@ -809,6 +819,51 @@ mod tests {
         dc.on_replica_message(NodeId(1), checkpoint_reply(&blocks[1], &pairs));
         dc.on_replica_message(NodeId(2), checkpoint_reply(&blocks[1], &pairs));
         assert_eq!(dc.archive_height(), 2, "forged checkpoint did not count");
+    }
+
+    #[test]
+    fn a_forged_best_certificate_yields_to_the_next_verifiable_reply() {
+        let (mut dc, blocks, pairs) = setup();
+        dc.begin_export(NodeId(0));
+        dc.on_replica_message(
+            NodeId(0),
+            ExportMessage::Blocks {
+                blocks: blocks.clone(),
+            },
+        );
+        // Replica 3 claims block 4 with a certificate whose signatures
+        // are over another checkpoint: the highest sn, but forged.
+        let mut forged = proof_for(&blocks[3], &pairs);
+        forged.signatures = proof_for(&blocks[0], &pairs).signatures;
+        dc.on_replica_message(
+            NodeId(3),
+            ExportMessage::Checkpoint(CheckpointReply {
+                proof: Some(forged),
+                block_height: 4,
+                block_hash: blocks[3].hash(),
+            }),
+        );
+        // Replicas 1 and 2 certify block 3 with the signatures in
+        // different orders, so their certificates' bytes differ; among
+        // equal sns the higher replica id's certificate is taken.
+        let mut by_replica_1 = proof_for(&blocks[2], &pairs);
+        by_replica_1.signatures.reverse();
+        let by_replica_2 = proof_for(&blocks[2], &pairs);
+        for (id, proof) in [(1, by_replica_1), (2, by_replica_2.clone())] {
+            dc.on_replica_message(
+                NodeId(id),
+                ExportMessage::Checkpoint(CheckpointReply {
+                    proof: Some(proof),
+                    block_height: 3,
+                    block_hash: blocks[2].hash(),
+                }),
+            );
+        }
+        assert_eq!(dc.archive_height(), 3, "finalized on block 3");
+        let segments = dc.drain_certified_segments();
+        assert_eq!(segments.len(), 1);
+        assert_eq!(segments[0].blocks, blocks[..3].to_vec());
+        assert_eq!(segments[0].proof, by_replica_2, "replica 2's certificate");
     }
 
     #[test]

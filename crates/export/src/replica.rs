@@ -163,16 +163,18 @@ impl ExportReplica {
             },
             Some(proof) => {
                 // The checkpoint digest is the hash of the block it covers;
-                // locate that block to report its height.
-                let block = store
-                    .blocks()
-                    .iter()
-                    .find(|b| b.hash() == proof.checkpoint.state_digest);
+                // locate that block to report its height. The newest stable
+                // checkpoint covers the head or a block just below it, so
+                // the search runs from the head down: one header hashed in
+                // the common case. At most one resident block has a given
+                // hash, so the direction does not change the answer.
+                let digest = proof.checkpoint.state_digest;
+                let block = store.blocks().iter().rev().find(|b| b.hash() == digest);
                 match block {
                     Some(block) => CheckpointReply {
                         proof: Some(proof.clone()),
                         block_height: block.height(),
-                        block_hash: block.hash(),
+                        block_hash: digest,
                     },
                     // The checkpointed block was already pruned (the data
                     // center is behind our base): report the base.
@@ -390,6 +392,57 @@ mod tests {
             panic!("second reply carries blocks");
         };
         assert_eq!(sent.len(), 3, "blocks 1..=3");
+    }
+
+    #[test]
+    fn read_behind_the_head_reports_the_checkpointed_block() {
+        let (mut replica, mut store, blocks, dc_pairs, _) = setup();
+        use zugchain_pbft::Checkpoint;
+        let proof_of = |block: &Block| CheckpointProof {
+            checkpoint: Checkpoint {
+                sn: block.header.last_sn,
+                state_digest: block.hash(),
+            },
+            signatures: vec![],
+        };
+        let read = |replica: &mut ExportReplica, store: &mut ChainStore, proofs: &[_]| {
+            let replies = replica.handle(
+                ExportMessage::Read {
+                    train: TrainId::DEFAULT,
+                    last_height: 0,
+                    blocks_from: NodeId(3),
+                },
+                store,
+                proofs,
+            );
+            let ExportMessage::Checkpoint(reply) = &replies[0] else {
+                panic!("first reply is the checkpoint");
+            };
+            (reply.block_height, reply.block_hash)
+        };
+        // The newest of several stable proofs covers block 3 of 5.
+        let proofs = [proof_of(&blocks[0]), proof_of(&blocks[2])];
+        assert_eq!(
+            read(&mut replica, &mut store, &proofs),
+            (3, blocks[2].hash())
+        );
+        // Once block 3 is pruned away (the base is now block 4), the
+        // reply reports the base, as before.
+        let cmd = DeleteCmd {
+            height: 4,
+            hash: blocks[3].hash(),
+        };
+        for dc in 0..2u64 {
+            replica.process_delete(
+                SignedDelete::sign(cmd, DcId(dc), &dc_pairs[dc as usize]),
+                &mut store,
+            );
+        }
+        assert_eq!(store.base(), (4, blocks[3].hash()));
+        assert_eq!(
+            read(&mut replica, &mut store, &proofs),
+            (4, blocks[3].hash())
+        );
     }
 
     #[test]

@@ -115,11 +115,11 @@ pub fn install_transfer(
         })
     };
 
-    verify_chain(&package.blocks, Some(first.header.prev_hash))
+    let head_hash = verify_chain(&package.blocks, Some(first.header.prev_hash))
         .map_err(StateTransferError::BadChain)?;
 
     let last = package.blocks.last().expect("nonempty checked above");
-    if last.hash() != package.proof.checkpoint.state_digest
+    if head_hash != package.proof.checkpoint.state_digest
         || last.header.last_sn != package.proof.checkpoint.sn
     {
         return Err(StateTransferError::CheckpointMismatch);

@@ -83,4 +83,6 @@ pub use messages::{
     SignedMessage, ViewChange,
 };
 pub use replica::{Replica, ReplicaEffect, ReplicaEvent, ReplicaInput, ReplicaStats, ReplicaTimer};
-pub use types::{NodeId, ProposedBatch, ProposedRequest, RequestKind, MAX_WIRE_BATCH_LEN};
+pub use types::{
+    DigestedRequest, NodeId, ProposedBatch, ProposedRequest, RequestKind, MAX_WIRE_BATCH_LEN,
+};

@@ -7,8 +7,8 @@ use zugchain_wire::{derive_trace_id, SpanIds};
 
 use crate::messages::Commit;
 use crate::{
-    Checkpoint, CheckpointProof, Config, Message, NewView, NodeId, PrePrepare, Prepare,
-    PreparedCert, ProposedBatch, ProposedRequest, SignedMessage, ViewChange,
+    Checkpoint, CheckpointProof, Config, DigestedRequest, Message, NewView, NodeId, PrePrepare,
+    Prepare, PreparedCert, ProposedBatch, ProposedRequest, SignedMessage, ViewChange,
 };
 
 /// The replica's timer vocabulary.
@@ -179,7 +179,7 @@ struct TracedRequest {
 /// reading at which it entered (the start of its `batch_flush` span).
 #[derive(Debug)]
 struct BacklogEntry {
-    request: ProposedRequest,
+    request: DigestedRequest,
     entered_ms: u64,
 }
 
@@ -515,7 +515,7 @@ impl Replica {
         let backlog_bytes: usize = self
             .backlog
             .iter()
-            .map(|entry| entry.request.payload.len() + 64)
+            .map(|entry| entry.request.request().payload.len() + 64)
             .sum();
         slot_bytes + backlog_bytes
     }
@@ -551,10 +551,13 @@ impl Replica {
     /// [`Config::batch_delay_ms`], so latency under light load is
     /// unchanged (with a batch size of 1 every proposal is a full batch
     /// and the timer is never armed).
-    pub fn propose(&mut self, request: ProposedRequest) {
+    ///
+    /// A [`DigestedRequest`] brings its payload digest along; a plain
+    /// [`ProposedRequest`] is hashed here.
+    pub fn propose(&mut self, request: impl Into<DigestedRequest>) {
         let entered_ms = self.telemetry.now_ms();
         self.backlog.push_back(BacklogEntry {
-            request,
+            request: request.into(),
             entered_ms,
         });
         if self.is_primary() && !self.in_view_change() {
@@ -592,7 +595,7 @@ impl Replica {
             } else {
                 Vec::new()
             };
-            let batch = ProposedBatch::new(
+            let batch = ProposedBatch::from_digested(
                 self.backlog
                     .drain(..take)
                     .map(|entry| entry.request)

@@ -151,6 +151,48 @@ impl Decode for ProposedRequest {
     }
 }
 
+/// A request together with the digest of its payload, hashed once where
+/// the payload entered the node.
+///
+/// The ZugChain layer hashes every bus payload on intake for its
+/// duplicate filter; carrying that digest with the request lets the
+/// primary build its [`ProposedBatch`] without hashing the payload again
+/// ([`ProposedBatch::from_digested`]). The fields are private and every
+/// way to make one hashes the payload, so the digest is always the
+/// payload's.
+#[derive(Debug, Clone)]
+pub struct DigestedRequest {
+    request: ProposedRequest,
+    payload_digest: Digest,
+}
+
+impl DigestedRequest {
+    /// Hashes the request's payload and keeps the digest with it.
+    pub fn new(request: ProposedRequest) -> Self {
+        let payload_digest = request.payload_digest();
+        Self {
+            request,
+            payload_digest,
+        }
+    }
+
+    /// The request.
+    pub fn request(&self) -> &ProposedRequest {
+        &self.request
+    }
+
+    /// The digest of the request's payload.
+    pub fn payload_digest(&self) -> Digest {
+        self.payload_digest
+    }
+}
+
+impl From<ProposedRequest> for DigestedRequest {
+    fn from(request: ProposedRequest) -> Self {
+        Self::new(request)
+    }
+}
+
 /// Upper bound on requests per batch accepted off the wire, far above any
 /// sane [`Config::max_batch_size`](crate::Config) — a length-prefix
 /// poisoning guard, not a protocol parameter.
@@ -194,8 +236,36 @@ impl ProposedBatch {
     ///
     /// Panics if `requests` is empty.
     pub fn new(requests: Vec<ProposedRequest>) -> Self {
+        let payload_digests = requests
+            .iter()
+            .map(ProposedRequest::payload_digest)
+            .collect();
+        Self::assemble(requests, payload_digests)
+    }
+
+    /// Builds a batch from requests whose payloads were already hashed,
+    /// reusing those digests: the batch and its digest are the ones
+    /// [`new`](Self::new) builds from the same requests.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `requests` is empty.
+    pub fn from_digested(requests: Vec<DigestedRequest>) -> Self {
+        let (requests, payload_digests) = requests
+            .into_iter()
+            .map(|digested| (digested.request, digested.payload_digest))
+            .unzip();
+        Self::assemble(requests, payload_digests)
+    }
+
+    /// Wraps a single request — the unbatched protocol's unit.
+    pub fn single(request: ProposedRequest) -> Self {
+        Self::new(vec![request])
+    }
+
+    fn assemble(requests: Vec<ProposedRequest>, payload_digests: Vec<Digest>) -> Self {
         assert!(!requests.is_empty(), "batches are never empty");
-        let (digest, payload_digests) = Self::digests_of(&requests);
+        let digest = Self::digest_of(&requests, &payload_digests);
         Self {
             inner: Arc::new(BatchInner {
                 requests,
@@ -205,16 +275,7 @@ impl ProposedBatch {
         }
     }
 
-    /// Wraps a single request — the unbatched protocol's unit.
-    pub fn single(request: ProposedRequest) -> Self {
-        Self::new(vec![request])
-    }
-
-    fn digests_of(requests: &[ProposedRequest]) -> (Digest, Vec<Digest>) {
-        let payload_digests: Vec<Digest> = requests
-            .iter()
-            .map(ProposedRequest::payload_digest)
-            .collect();
+    fn digest_of(requests: &[ProposedRequest], payload_digests: &[Digest]) -> Digest {
         // One chained hash binds the request count, the order, every
         // header field, and every payload digest. Payload bytes are not
         // touched again here.
@@ -233,11 +294,11 @@ impl ProposedBatch {
                 header
             })
             .collect();
-        for (header, payload_digest) in headers.iter().zip(&payload_digests) {
+        for (header, payload_digest) in headers.iter().zip(payload_digests) {
             parts.push(header.as_slice());
             parts.push(payload_digest.as_bytes().as_slice());
         }
-        (Digest::chain(parts), payload_digests)
+        Digest::chain(parts)
     }
 
     /// The batch digest — what prepares and commits certify.

@@ -307,9 +307,13 @@ impl<T> LiveCluster<T> {
     /// Delivers the same consolidated payload to every node, as if all
     /// read it from one bus cycle.
     pub fn feed_bus_payload_all(&self, payload: Vec<u8>) {
-        for inbox in &self.inboxes {
+        let Some((last, others)) = self.inboxes.split_last() else {
+            return;
+        };
+        for inbox in others {
             inbox.send(LoopInput::RawPayload(payload.clone()));
         }
+        last.send(LoopInput::RawPayload(payload));
     }
 
     /// Delivers a payload to one node only (diverging reception).

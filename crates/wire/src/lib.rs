@@ -52,7 +52,7 @@ pub use trace::{
 };
 pub use train::TrainId;
 pub use traits::{decode_seq, encode_seq, Decode, Encode};
-pub use writer::Writer;
+pub use writer::{put_varint, varint_len, Writer, MAX_VARINT_LEN};
 
 /// The capacity [`to_bytes`] and the default [`Encode::encoded_len`]
 /// start from. Every fixed-size consensus frame fits in that first

@@ -1,3 +1,31 @@
+/// The longest LEB128 varint a `u64` takes, in bytes.
+pub const MAX_VARINT_LEN: usize = 10;
+
+/// Number of bytes `value` takes as a minimal LEB128 varint — what
+/// [`Writer::write_varint`] appends for it.
+pub fn varint_len(value: u64) -> usize {
+    let bits = 64 - (value | 1).leading_zeros() as usize;
+    bits.div_ceil(7)
+}
+
+/// Writes `value` as a minimal LEB128 varint to the front of `out` and
+/// returns the number of bytes written: the one varint encoder, shared by
+/// [`Writer::write_varint`] and by callers that hash an encoding without
+/// building it.
+pub fn put_varint(out: &mut [u8; MAX_VARINT_LEN], mut value: u64) -> usize {
+    let mut len = 0;
+    loop {
+        let byte = (value & 0x7f) as u8;
+        value >>= 7;
+        if value == 0 {
+            out[len] = byte;
+            return len + 1;
+        }
+        out[len] = byte | 0x80;
+        len += 1;
+    }
+}
+
 /// An append-only buffer for encoding values in the ZugChain wire format.
 ///
 /// Writing is infallible; the writer grows as needed.
@@ -83,16 +111,10 @@ impl Writer {
     /// Appends a LEB128 varint.
     ///
     /// The encoding is minimal (canonical): no redundant trailing groups.
-    pub fn write_varint(&mut self, mut value: u64) {
-        loop {
-            let byte = (value & 0x7f) as u8;
-            value >>= 7;
-            if value == 0 {
-                self.buf.push(byte);
-                return;
-            }
-            self.buf.push(byte | 0x80);
-        }
+    pub fn write_varint(&mut self, value: u64) {
+        let mut bytes = [0u8; MAX_VARINT_LEN];
+        let len = put_varint(&mut bytes, value);
+        self.buf.extend_from_slice(&bytes[..len]);
     }
 
     /// Appends a varint length prefix followed by the raw bytes.
@@ -130,6 +152,24 @@ mod tests {
         let mut w = Writer::new();
         w.write_varint(u64::MAX);
         assert_eq!(w.len(), 10);
+    }
+
+    #[test]
+    fn varint_len_matches_the_encoding() {
+        for value in [
+            0,
+            1,
+            127,
+            128,
+            16_383,
+            16_384,
+            u64::from(u32::MAX),
+            u64::MAX,
+        ] {
+            let mut w = Writer::new();
+            w.write_varint(value);
+            assert_eq!(varint_len(value), w.len(), "value {value}");
+        }
     }
 
     #[test]
