@@ -3,25 +3,27 @@
 //!
 //! # Storage layout
 //!
-//! An on-disk archive directory holds one file per segment and nothing
-//! else: `seg-<seq>.zas`, framed as magic `ZGS1` ‖ SHA-256 of the body ‖
-//! the canonical [`Segment`] encoding. Each file is written once by
-//! [`write_record`] (tmp, fsync, rename, directory fsync), so an ingest
-//! costs one file whatever the archive's size.
+//! An on-disk archive directory holds one file, the segment log
+//! `segments.zal`. It is a run of records, one per segment in seq order:
+//! a little-endian `u32` length, then the segment's frame, magic `ZGS1` ‖
+//! SHA-256 of the body ‖ the canonical [`Segment`] encoding. An ingest
+//! writes its record at the end of the last good record and calls
+//! `sync_data` once, so it creates no file and costs one write and one
+//! journal commit whatever the archive's size.
 //!
 //! # Recovery
 //!
-//! [`Archive::open`] walks segment files ascending and keeps the longest
-//! prefix that is gap-free, undamaged, chain-continuous, and passes full
-//! [`Segment::verify`]; everything after the first defect is deleted so
-//! the directory is append-consistent again. It also deletes the
-//! `seg-*.tmp` files an interrupted write leaves and the `index.zai`
-//! summary older builds kept. The in-memory indexes are always rebuilt
-//! from the surviving segments.
+//! [`Archive::open`] reads the log front to back and keeps the longest
+//! prefix of records that frame, decode, carry the expected seq and train,
+//! extend the chain and pass full [`Segment::verify`]. It cuts the file
+//! back to that prefix and syncs it, so the log is append-consistent
+//! again. A directory that still holds the `seg-<seq>.zas` files of the
+//! older one-file-per-segment layout is refused, never read or deleted.
+//! The in-memory indexes are always rebuilt from the surviving segments.
 
 use std::fs;
-use std::io::{self, Write as _};
-use std::path::{Path, PathBuf};
+use std::io::{self, Read as _, Seek as _, Write as _};
+use std::path::Path;
 use std::sync::{Arc, RwLock};
 
 use zugchain_blockchain::Block;
@@ -32,11 +34,11 @@ use zugchain_signals::Request;
 use zugchain_wire::TrainId;
 
 use crate::bundle::AuditBundle;
-use crate::index::{ArchiveIndex, EventKind, RequestLocation};
+use crate::index::{ArchiveIndex, EventKind, IndexEntry, RequestLocation};
 use crate::merkle::MerklePath;
 use crate::segment::{block_leaves, Segment, SegmentViolation};
 
-/// Magic prefix of a segment (`.zas`) file.
+/// Magic prefix of a segment frame, the body of each segment-log record.
 pub const SEGMENT_MAGIC: &[u8; 4] = b"ZGS1";
 
 /// Why a certified segment was refused at ingestion.
@@ -117,20 +119,28 @@ impl From<SegmentViolation> for IngestError {
 pub struct RecoveryReport {
     /// Segments that survived recovery.
     pub segments_recovered: usize,
-    /// Sequence numbers whose files were damaged, gapped, discontinuous,
-    /// or unverifiable and were deleted.
+    /// Log positions (the seq each record should have carried) of the
+    /// records cut away: the first record that was torn, damaged, out of
+    /// sequence, discontinuous or unverifiable, and every record after it
+    /// that could still be told apart.
     pub segments_discarded: Vec<u64>,
 }
 
 /// Frames `body` as `magic ‖ SHA-256(body) ‖ body`, the byte shape of
-/// every archive file (`.zas` segments and `.zab` bundles). The digest
-/// catches torn or damaged bytes; it proves nothing about who wrote them.
+/// every archive record (segments in the log, `.zab` bundles). The
+/// digest catches torn or damaged bytes; it proves nothing about who
+/// wrote them.
 pub(crate) fn frame(magic: &[u8; 4], body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(magic.len() + 32 + body.len());
+    frame_into(&mut out, magic, body);
+    out
+}
+
+/// Appends [`frame`]`(magic, body)` to `out`.
+fn frame_into(out: &mut Vec<u8>, magic: &[u8; 4], body: &[u8]) {
     out.extend_from_slice(magic);
     out.extend_from_slice(Digest::of(body).as_bytes());
     out.extend_from_slice(body);
-    out
 }
 
 /// The body of bytes [`frame`]d under `magic`.
@@ -164,7 +174,8 @@ pub(crate) fn invalid_data(what: impl Into<String>) -> io::Error {
 /// bytes are on disk before any name points at them; rename it over
 /// `path`, so a reader sees the old file or the new one, never a torn
 /// mix; fsync the directory, so the rename itself survives a power cut.
-/// Only then does it return `Ok`.
+/// Only then does it return `Ok`. Audit bundles, each a standalone file,
+/// are written this way; segments go to the [`SegmentLog`].
 pub(crate) fn write_record(path: &Path, magic: &[u8; 4], body: &[u8]) -> io::Result<()> {
     let tmp = path.with_extension("tmp");
     {
@@ -202,67 +213,145 @@ pub(crate) fn create_dir_durably(dir: &Path) -> io::Result<()> {
     sync_dir(parent)
 }
 
-/// Durable segment files under one directory.
-#[derive(Debug, Clone)]
-struct SegmentStore {
-    dir: PathBuf,
+/// Name of the segment log inside an archive directory.
+const SEGMENT_LOG: &str = "segments.zal";
+
+/// Bytes of a log record's length prefix.
+const LENGTH_PREFIX: u64 = 4;
+
+/// One archive directory's segment log (see the module docs for the
+/// record layout).
+#[derive(Debug)]
+struct SegmentLog {
+    file: fs::File,
+    /// End of the last whole, synced record: where the next append
+    /// writes, whatever a failed append left behind it.
+    len: u64,
 }
 
-impl SegmentStore {
-    fn open(dir: impl AsRef<Path>) -> io::Result<Self> {
-        let dir = dir.as_ref().to_path_buf();
-        create_dir_durably(&dir)?;
-        Ok(Self { dir })
-    }
-
-    fn segment_path(&self, seq: u64) -> PathBuf {
-        self.dir.join(format!("seg-{seq:010}.zas"))
-    }
-
-    fn write_segment(&self, segment: &Segment) -> io::Result<()> {
-        write_record(
-            &self.segment_path(segment.header.seq),
-            SEGMENT_MAGIC,
-            &zugchain_wire::to_bytes(segment),
-        )
-    }
-
-    fn read_segment(&self, seq: u64) -> io::Result<Segment> {
-        let raw = fs::read(self.segment_path(seq))?;
-        zugchain_wire::from_bytes(unframe(&raw, SEGMENT_MAGIC)?)
-            .map_err(|e| invalid_data(format!("undecodable segment: {e}")))
-    }
-
-    fn remove_segment(&self, seq: u64) -> io::Result<()> {
-        match fs::remove_file(self.segment_path(seq)) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// The segment seqs on disk, ascending. Deletes on the way what no
-    /// recovery keeps: `seg-*.tmp` files of interrupted writes and the
-    /// `index.zai` summary of older builds.
-    fn scan(&self) -> io::Result<Vec<u64>> {
-        let mut seqs = Vec::new();
-        for entry in fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
+impl SegmentLog {
+    /// Opens the log of `dir` for recovery, creating the directory and
+    /// an empty log if missing, each with its parent directory fsynced.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::Unsupported`] if `dir` holds segment files of
+    /// the one-file-per-segment layout, or any I/O error.
+    fn open(dir: &Path) -> io::Result<Self> {
+        create_dir_durably(dir)?;
+        for entry in fs::read_dir(dir)? {
+            let name = entry?.file_name();
             let name = name.to_string_lossy();
-            if name == "index.zai" || (name.starts_with("seg-") && name.ends_with(".tmp")) {
-                fs::remove_file(entry.path())?;
-            } else if let Some(Ok(seq)) = name
-                .strip_prefix("seg-")
-                .and_then(|s| s.strip_suffix(".zas"))
-                .map(str::parse)
-            {
-                seqs.push(seq);
+            if name.starts_with("seg-") && name.ends_with(".zas") {
+                return Err(io::Error::new(
+                    io::ErrorKind::Unsupported,
+                    format!(
+                        "{} holds seg-*.zas files of the one-file-per-segment archive layout; \
+                         this build reads only its segment log {SEGMENT_LOG}",
+                        dir.display()
+                    ),
+                ));
             }
         }
-        seqs.sort_unstable();
-        Ok(seqs)
+        let path = dir.join(SEGMENT_LOG);
+        let mut options = fs::OpenOptions::new();
+        options.read(true).write(true);
+        let file = match options.clone().create_new(true).open(&path) {
+            Ok(file) => {
+                file.sync_all()?;
+                sync_dir(dir)?;
+                file
+            }
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => options.open(&path)?,
+            Err(e) => return Err(e),
+        };
+        Ok(SegmentLog { file, len: 0 })
     }
+
+    /// Reads the log front to back and keeps the longest prefix of
+    /// records that `keep` accepts, handing each its segment; then cuts
+    /// the file back to that prefix and syncs it. Returns the log
+    /// positions of the records cut away: reading continues past the
+    /// first rejected record while length prefixes still fit the file,
+    /// and stops at one that is torn, zero or runs past the end.
+    fn recover(&mut self, mut keep: impl FnMut(Segment) -> bool) -> io::Result<Vec<u64>> {
+        let file_len = self.file.metadata()?.len();
+        let mut reader = io::BufReader::new(&self.file);
+        let mut discarded = Vec::new();
+        let (mut pos, mut kept) = (0, 0);
+        let mut damaged = false;
+        for position in 0.. {
+            if pos == file_len {
+                break;
+            }
+            let mut prefix = [0; LENGTH_PREFIX as usize];
+            let len = if file_len - pos < LENGTH_PREFIX {
+                0
+            } else {
+                reader.read_exact(&mut prefix)?;
+                u64::from(u32::from_le_bytes(prefix))
+            };
+            if len == 0 || len > file_len - pos - LENGTH_PREFIX {
+                discarded.push(position);
+                break;
+            }
+            let mut record = vec![0; len as usize];
+            reader.read_exact(&mut record)?;
+            pos += LENGTH_PREFIX + len;
+            damaged = damaged || !decode_segment(&record).is_ok_and(&mut keep);
+            if damaged {
+                discarded.push(position);
+            } else {
+                kept = pos;
+            }
+        }
+        if kept < file_len {
+            self.file.set_len(kept)?;
+            self.file.sync_all()?;
+        }
+        self.len = kept;
+        Ok(discarded)
+    }
+
+    /// Appends `segment`'s record at the end of the last good record and
+    /// syncs its data, so it survives a power cut once this returns
+    /// `Ok`. A failed append cuts the file back to the last good record
+    /// if it can; either way the next append writes from there, so no
+    /// record ever lands behind a torn one.
+    fn append(&mut self, segment: &Segment) -> io::Result<()> {
+        let record = log_record(segment)?;
+        let written = (&self.file)
+            .seek(io::SeekFrom::Start(self.len))
+            .and_then(|_| (&self.file).write_all(&record))
+            .and_then(|()| self.file.sync_data());
+        match written {
+            Ok(()) => {
+                self.len += record.len() as u64;
+                Ok(())
+            }
+            Err(e) => {
+                let _ = self.file.set_len(self.len);
+                Err(e)
+            }
+        }
+    }
+}
+
+/// `segment`'s log record: the length of its frame, then the frame.
+fn log_record(segment: &Segment) -> io::Result<Vec<u8>> {
+    let body = zugchain_wire::to_bytes(segment);
+    let frame_len = u32::try_from(SEGMENT_MAGIC.len() + 32 + body.len())
+        .map_err(|_| invalid_data("segment too large for one log record"))?;
+    let mut record = Vec::with_capacity(LENGTH_PREFIX as usize + frame_len as usize);
+    record.extend_from_slice(&frame_len.to_le_bytes());
+    frame_into(&mut record, SEGMENT_MAGIC, &body);
+    Ok(record)
+}
+
+/// The segment in one log record's bytes, after its length prefix.
+fn decode_segment(record: &[u8]) -> io::Result<Segment> {
+    zugchain_wire::from_bytes(unframe(record, SEGMENT_MAGIC)?)
+        .map_err(|e| invalid_data(format!("undecodable segment: {e}")))
 }
 
 /// The juridical archive: verified, indexed, durable block storage on the
@@ -270,12 +359,12 @@ impl SegmentStore {
 #[derive(Debug)]
 pub struct Archive {
     /// The train whose chain this archive (shard) stores. Segments from
-    /// any other train are refused, and recovery discards files whose
+    /// any other train are refused, and recovery cuts records whose
     /// header names another train.
     train: TrainId,
     keystore: Keystore,
     quorum: usize,
-    storage: Option<SegmentStore>,
+    log: Option<SegmentLog>,
     segments: Vec<Segment>,
     index: ArchiveIndex,
     metrics: ArchiveMetrics,
@@ -349,7 +438,7 @@ impl Archive {
             train,
             keystore,
             quorum,
-            storage: None,
+            log: None,
             segments: Vec::new(),
             index: ArchiveIndex::new(),
             metrics: ArchiveMetrics::default(),
@@ -369,15 +458,15 @@ impl Archive {
 
     /// Opens (creating if necessary, with its parent fsynced) a durable
     /// archive at `dir`, recovering the longest verified segment prefix
-    /// from whatever the directory contains. Afterwards its segment
-    /// files are exactly the recovered segments, with no tmp file or
-    /// stale summary beside them.
+    /// from its segment log. Afterwards the log holds exactly the
+    /// recovered segments.
     ///
     /// # Errors
     ///
-    /// Only environment I/O errors. Damaged or unverifiable data is never
-    /// an error — it is truncated away and reported in the
-    /// [`RecoveryReport`].
+    /// Environment I/O errors, and [`io::ErrorKind::Unsupported`] for a
+    /// directory of the older one-file-per-segment layout. Damaged or
+    /// unverifiable data is never an error — it is truncated away and
+    /// reported in the [`RecoveryReport`].
     pub fn open(
         dir: impl AsRef<Path>,
         keystore: Keystore,
@@ -387,51 +476,35 @@ impl Archive {
     }
 
     /// Like [`open`](Self::open), but as the durable shard of one
-    /// specific train. Recovery additionally discards any segment file
-    /// whose header names a different train — a misplaced or relabeled
-    /// file can never leak another vehicle's records into this shard.
+    /// specific train. Recovery additionally cuts any record whose
+    /// header names a different train — a misplaced or relabeled record
+    /// can never leak another vehicle's records into this shard.
     pub fn open_for_train(
         dir: impl AsRef<Path>,
         train: TrainId,
         keystore: Keystore,
         quorum: usize,
     ) -> io::Result<(Self, RecoveryReport)> {
-        let storage = SegmentStore::open(dir)?;
-        let mut report = RecoveryReport::default();
-
-        // Walk segment files ascending; the first gap, damaged file,
-        // wrong embedded seq, chain discontinuity, or verification
-        // failure truncates the rest.
+        let mut log = SegmentLog::open(dir.as_ref())?;
         let mut segments: Vec<Segment> = Vec::new();
-        let mut damaged = false;
-        for seq in storage.scan()? {
-            if !damaged {
-                let expected_seq = segments.len() as u64;
-                let continuous = |segment: &Segment| match segments.last() {
-                    None => true,
-                    Some(prev) => {
-                        segment.header.base_height == prev.header.last_height
-                            && segment.header.base_hash == prev.header.head_hash
-                    }
-                };
-                match storage.read_segment(seq) {
-                    Ok(segment)
-                        if seq == expected_seq
-                            && segment.header.seq == seq
-                            && segment.header.train == train
-                            && continuous(&segment)
-                            && segment.verify(&keystore, quorum).is_ok() =>
-                    {
-                        segments.push(segment);
-                        continue;
-                    }
-                    _ => damaged = true,
-                }
+        let segments_discarded = log.recover(|segment| {
+            let continuous = segments.last().map_or(true, |prev| {
+                segment.header.base_height == prev.header.last_height
+                    && segment.header.base_hash == prev.header.head_hash
+            });
+            let keep = segment.header.seq == segments.len() as u64
+                && segment.header.train == train
+                && continuous
+                && segment.verify(&keystore, quorum).is_ok();
+            if keep {
+                segments.push(segment);
             }
-            storage.remove_segment(seq)?;
-            report.segments_discarded.push(seq);
-        }
-        report.segments_recovered = segments.len();
+            keep
+        })?;
+        let report = RecoveryReport {
+            segments_recovered: segments.len(),
+            segments_discarded,
+        };
 
         let mut index = ArchiveIndex::new();
         for segment in &segments {
@@ -444,7 +517,7 @@ impl Archive {
                 train,
                 keystore,
                 quorum,
-                storage: Some(storage),
+                log: Some(log),
                 segments,
                 index,
                 metrics: ArchiveMetrics::default(),
@@ -491,28 +564,41 @@ impl Archive {
         self.segments.iter().flat_map(|s| s.blocks.iter())
     }
 
+    /// The derived query indexes over the archived requests.
+    pub(crate) fn index(&self) -> &ArchiveIndex {
+        &self.index
+    }
+
     /// Verifies and ingests one certified segment from the export path,
     /// returning its archive sequence number.
     ///
     /// The segment must extend the current head exactly (the archive is
     /// append-only); it is fully re-verified — chain linkage, pruned-base
     /// continuity, and the 2f+1 checkpoint certificate — before anything
-    /// is persisted or indexed. On a durable archive the segment's one
-    /// file is on disk, renamed and its directory fsynced before the
+    /// is persisted or indexed. On a durable archive the segment's record
+    /// is appended to the segment log and its data synced before the
     /// in-memory state changes, so an `Ok` segment survives a power cut
-    /// and a crash at any point leaves a directory [`Archive::open`]
-    /// recovers cleanly.
+    /// and a crash at any point leaves a log [`Archive::open`] recovers
+    /// cleanly.
     ///
     /// # Errors
     ///
-    /// See [`IngestError`]; on error the in-memory archive is unchanged.
-    /// A file a failed write left behind is replaced by the next ingest
-    /// of that seq, or removed or re-verified by [`Archive::open`].
+    /// See [`IngestError`]; on error the in-memory archive is unchanged,
+    /// and the next ingest writes its record where the failed one began.
     pub fn ingest(&mut self, certified: &CertifiedSegment) -> Result<u64, IngestError> {
+        self.ingest_indexed(certified).map(|(seq, _)| seq)
+    }
+
+    /// [`ingest`](Self::ingest), also returning the index entries of the
+    /// segment's requests, from which the fleet's cross index is fed.
+    pub(crate) fn ingest_indexed(
+        &mut self,
+        certified: &CertifiedSegment,
+    ) -> Result<(u64, Vec<IndexEntry>), IngestError> {
         let started = std::time::Instant::now();
         let result = self.ingest_inner(certified);
         match &result {
-            Ok(seq) => {
+            Ok((seq, _)) => {
                 self.metrics.ingests.inc();
                 self.metrics.segments_total.inc();
                 self.metrics
@@ -590,7 +676,10 @@ impl Archive {
         }
     }
 
-    fn ingest_inner(&mut self, certified: &CertifiedSegment) -> Result<u64, IngestError> {
+    fn ingest_inner(
+        &mut self,
+        certified: &CertifiedSegment,
+    ) -> Result<(u64, Vec<IndexEntry>), IngestError> {
         if certified.train != self.train {
             return Err(IngestError::TrainMismatch {
                 expected: self.train,
@@ -611,17 +700,21 @@ impl Archive {
         let segment = Segment::build(seq, certified)?;
         segment.verify(&self.keystore, self.quorum)?;
 
-        if let Some(storage) = &self.storage {
-            storage
-                .write_segment(&segment)
+        if let Some(log) = &mut self.log {
+            log.append(&segment)
                 .map_err(|e| IngestError::Io(e.to_string()))?;
         }
 
-        for block in &segment.blocks {
-            self.index.index_block(block);
+        let entries: Vec<IndexEntry> = segment
+            .blocks
+            .iter()
+            .flat_map(IndexEntry::of_block)
+            .collect();
+        for entry in &entries {
+            self.index.insert(entry);
         }
         self.segments.push(segment);
-        Ok(seq)
+        Ok((seq, entries))
     }
 
     fn segment_of_height(&self, height: u64) -> Option<&Segment> {
@@ -828,7 +921,7 @@ impl QueryEngine {
     }
 
     /// Ingests a certified segment under the write lock, held across
-    /// verification, the fsyncs and the index update, so readers wait
+    /// verification, the log append and its sync, and the index update, so readers wait
     /// for the whole ingest and never see a half-ingested segment.
     ///
     /// # Errors
@@ -907,5 +1000,86 @@ impl QueryEngine {
     /// from the same lock acquisition).
     pub fn with_archive<R>(&self, f: impl FnOnce(&Archive) -> R) -> R {
         f(&self.read())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use zugchain_blockchain::LoggedRequest;
+    use zugchain_pbft::{Checkpoint, CheckpointProof};
+
+    /// An unsigned one-block segment at `seq`: the log never verifies.
+    fn segment(seq: u64) -> Segment {
+        let genesis = Block::genesis();
+        let request = LoggedRequest {
+            sn: 1,
+            origin: 0,
+            payload: vec![7; 300],
+        };
+        let block = Block::next(1, genesis.hash(), vec![request], 64);
+        let certified = CertifiedSegment {
+            train: TrainId::DEFAULT,
+            base_height: 0,
+            base_hash: genesis.hash(),
+            proof: CheckpointProof {
+                checkpoint: Checkpoint {
+                    sn: 1,
+                    state_digest: block.hash(),
+                },
+                signatures: Vec::new(),
+            },
+            blocks: vec![block],
+        };
+        Segment::build(seq, &certified).expect("one block")
+    }
+
+    #[test]
+    fn a_failed_append_never_leaves_a_torn_record_ahead_of_a_later_one() {
+        let dir = std::env::temp_dir().join(format!("zugchain-log-append-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let path = dir.join(SEGMENT_LOG);
+        let mut log = SegmentLog::open(&dir).unwrap();
+        assert!(log.recover(|_| true).unwrap().is_empty());
+        log.append(&segment(0)).unwrap();
+        let good = log.len;
+
+        // Part of the next record reaches the file, then the append fails
+        // and so does cutting it back: this handle can write nothing.
+        let record = log_record(&segment(1)).unwrap();
+        fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap()
+            .write_all(&record[..record.len() / 2])
+            .unwrap();
+        let writable = std::mem::replace(&mut log.file, fs::File::open(&path).unwrap());
+        assert!(log.append(&segment(1)).is_err());
+        assert_eq!(log.len, good);
+        assert!(
+            fs::metadata(&path).unwrap().len() > good,
+            "the torn bytes stay"
+        );
+
+        // The next append writes where the failed one began, over the
+        // torn bytes, so recovery finds both records and nothing else.
+        log.file = writable;
+        log.append(&segment(1)).unwrap();
+        drop(log);
+        let mut reopened = SegmentLog::open(&dir).unwrap();
+        let mut seqs = Vec::new();
+        let discarded = reopened
+            .recover(|segment| {
+                seqs.push(segment.header.seq);
+                true
+            })
+            .unwrap();
+        assert!(discarded.is_empty());
+        assert_eq!(seqs, [0, 1]);
+        assert_eq!(
+            fs::metadata(&path).unwrap().len(),
+            good + record.len() as u64
+        );
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -180,10 +180,11 @@ impl AuditBundle {
         zugchain_wire::from_bytes(body).map_err(|e| invalid_data(format!("bundle malformed: {e}")))
     }
 
-    /// Durably writes the bundle as a `.zab` file
-    /// (see [`AuditBundle::to_zab_bytes`]) the way the archive writes a
-    /// segment: a power cut leaves the old file or the new one, and the
-    /// new one is on disk once this returns `Ok`.
+    /// Durably writes the bundle as a standalone `.zab` file
+    /// (see [`AuditBundle::to_zab_bytes`]): written to a tmp file and
+    /// fsynced, renamed, and its directory fsynced, so a power cut leaves
+    /// the old file or the new one, and the new one is on disk once this
+    /// returns `Ok`.
     ///
     /// # Errors
     ///

@@ -12,18 +12,21 @@
 //! from train A never contends with ingest from train B (the
 //! [`IngestLock::Global`] mode exists only as a benchmark baseline to
 //! quantify exactly that). On disk each shard lives under
-//! `root/trains/<id>/` with its own segment files, so crash recovery
-//! runs per train and one corrupted shard cannot take down another's
-//! data.
+//! `root/trains/<id>/` with its own segment log (`segments.zal`, see
+//! [`Archive`]), so an ingest appends and syncs one file of its own
+//! train, crash recovery runs per train, and one corrupted shard cannot
+//! take down another's data.
 //!
 //! # Cross-train index
 //!
 //! Fleet-wide queries ("what did every vehicle record between t₀ and
 //! t₁?") go through a small cross index `(time_ms, train, sn) → height`
-//! maintained at ingest and rebuilt from the shards at registration. The
-//! index only *routes* — it answers which trains hold records in a range
-//! — and the shards then serve the actual blocks under their own read
-//! locks, so a routed query never blocks unrelated ingest.
+//! fed at ingest from the same per-request entries the shard indexed
+//! (each payload is decoded once), and copied from the shard's time
+//! index at registration. The index only *routes* — it answers which
+//! trains hold records in a range — and the shards then serve the
+//! actual blocks under their own read locks, so a routed query never
+//! blocks unrelated ingest.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -160,13 +163,22 @@ impl FleetArchive {
     /// Registers a train's shard with its replica keyset, opening (and
     /// recovering) the durable shard directory when the fleet is
     /// durable. Re-registering an already-known train is an error — a
-    /// keyset swap must never silently re-scope an existing shard.
+    /// keyset swap must never silently re-scope an existing shard, and a
+    /// shard's log must never have two writers. The registry stays locked
+    /// while the shard recovers.
     ///
     /// # Errors
     ///
     /// [`io::ErrorKind::AlreadyExists`] for a duplicate registration, or
     /// any I/O error from opening the shard directory.
     pub fn register_train(&self, train: TrainId, keystore: Keystore) -> io::Result<RecoveryReport> {
+        let mut shards = write(&self.inner.shards);
+        if shards.contains_key(&train) {
+            return Err(io::Error::new(
+                io::ErrorKind::AlreadyExists,
+                format!("train {train} is already registered"),
+            ));
+        }
         let (mut archive, report) = match &self.inner.root {
             None => (
                 Archive::in_memory_for_train(train, keystore, self.inner.quorum),
@@ -185,27 +197,16 @@ impl FleetArchive {
                 archive.set_telemetry(&telemetry.for_train(train.0));
             }
         }
-
-        // Recovered blocks join the cross index before the shard becomes
-        // visible, so a fleet query never sees a half-indexed train.
-        let mut recovered = Vec::new();
-        for block in archive.blocks() {
-            index_block_into(&mut recovered, train, block);
-        }
-
-        let mut shards = write(&self.inner.shards);
-        if shards.contains_key(&train) {
-            return Err(io::Error::new(
-                io::ErrorKind::AlreadyExists,
-                format!("train {train} is already registered"),
-            ));
-        }
-        {
-            let mut cross = write(&self.inner.cross);
-            for (key, height) in recovered {
-                cross.insert(key, height);
-            }
-        }
+        // Recovered requests join the cross index before the shard
+        // becomes visible, so a fleet query never sees a half-indexed
+        // train.
+        write(&self.inner.cross).extend(
+            archive
+                .index()
+                .in_time_range(0, u64::MAX)
+                .into_iter()
+                .map(|at| ((at.time_ms, train, at.sn), at.height)),
+        );
         shards.insert(
             train,
             Arc::new(Shard {
@@ -241,16 +242,12 @@ impl FleetArchive {
             IngestLock::PerShard => None,
             IngestLock::Global => Some(self.inner.global.lock().unwrap_or_else(|e| e.into_inner())),
         };
-        let seq = write(&shard.archive).ingest(certified)?;
-
-        let mut entries = Vec::new();
-        for block in &certified.blocks {
-            index_block_into(&mut entries, certified.train, block);
-        }
-        let mut cross = write(&self.inner.cross);
-        for (key, height) in entries {
-            cross.insert(key, height);
-        }
+        let (seq, entries) = write(&shard.archive).ingest_indexed(certified)?;
+        write(&self.inner.cross).extend(
+            entries
+                .iter()
+                .map(|entry| ((entry.time_ms, certified.train, entry.sn), entry.height)),
+        );
         Ok(seq)
     }
 
@@ -344,20 +341,194 @@ impl FleetArchive {
     }
 }
 
-/// Mirrors [`crate::ArchiveIndex::index_block`]'s time attribution for
-/// the cross index: decoded request time when the payload parses as a
-/// [`Request`], the block timestamp otherwise.
-fn index_block_into(
-    out: &mut Vec<((u64, TrainId, u64), u64)>,
-    train: TrainId,
-    block: &zugchain_blockchain::Block,
-) {
-    let height = block.height();
-    for request in &block.requests {
-        let time_ms = match zugchain_wire::from_bytes::<Request>(&request.payload) {
-            Ok(decoded) => decoded.time_ms,
-            Err(_) => block.header.time_ms,
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use zugchain_blockchain::{Block, BlockBuilder, LoggedRequest};
+    use zugchain_crypto::KeyPair;
+    use zugchain_pbft::{Checkpoint, CheckpointProof, Message, NodeId};
+    use zugchain_signals::{SignalValue, TrainEvent};
+
+    use crate::{EventKind, RequestLocation};
+
+    /// A request payload carrying one event per name, or `None` for a
+    /// payload that is not a request.
+    fn payload(sn: u64, names: Option<&[&str]>) -> Vec<u8> {
+        let Some(names) = names else {
+            return vec![0xFF; (sn % 3) as usize];
         };
-        out.push(((time_ms, train, request.sn), height));
+        let time_ms = 1_000 + (sn * 37) % 11 * 64;
+        let events = names
+            .iter()
+            .map(|name| TrainEvent {
+                name: name.to_string(),
+                port: zugchain_mvb::PortAddress(0x42),
+                cycle: sn,
+                time_ms,
+                value: SignalValue::Bool(true),
+            })
+            .collect();
+        zugchain_wire::to_bytes(&Request {
+            cycle: sn,
+            time_ms,
+            events,
+        })
+    }
+
+    /// Two certified segments of `train` whose requests cycle through
+    /// decodable single-event, multi-event, event-less and undecodable
+    /// payloads.
+    fn segments(train: TrainId, pairs: &[KeyPair]) -> Vec<CertifiedSegment> {
+        const PAYLOADS: [Option<&[&str]>; 6] = [
+            Some(&["v_actual"]),
+            Some(&["brake_applied", "v_actual", "emergency_brake", "horn"]),
+            None,
+            Some(&[]),
+            Some(&["doors_released", "atp_intervention", "doors_released"]),
+            None,
+        ];
+        let mut builder = BlockBuilder::new(3);
+        let mut base = Block::genesis();
+        let mut sn = 0;
+        let mut out = Vec::new();
+        for _ in 0..2 {
+            let mut blocks = Vec::new();
+            while blocks.len() < 3 {
+                sn += 1;
+                let request = LoggedRequest {
+                    sn,
+                    origin: sn % 4,
+                    payload: payload(sn, PAYLOADS[sn as usize % PAYLOADS.len()]),
+                };
+                blocks.extend(builder.push(request, sn * 50));
+            }
+            let head = blocks.last().expect("three blocks").clone();
+            let checkpoint = Checkpoint {
+                sn,
+                state_digest: head.hash(),
+            };
+            let message = zugchain_wire::to_bytes(&Message::Checkpoint(checkpoint));
+            out.push(CertifiedSegment {
+                train,
+                base_height: base.height(),
+                base_hash: base.hash(),
+                blocks,
+                proof: CheckpointProof {
+                    checkpoint,
+                    signatures: (0..3)
+                        .map(|id| (NodeId(id as u64), pairs[id].sign(&message)))
+                        .collect(),
+                },
+            });
+            base = head;
+        }
+        out
+    }
+
+    /// The indexes as each payload was decoded separately for the shard
+    /// index and for the cross index: `(time_ms, sn) → height` by time,
+    /// by kind, and `(time_ms, train, sn) → height`.
+    type Reference = (
+        BTreeMap<(u64, u64), u64>,
+        BTreeMap<EventKind, BTreeMap<(u64, u64), u64>>,
+        BTreeMap<(u64, TrainId, u64), u64>,
+    );
+
+    fn reference(train: TrainId, blocks: &[&Block], out: &mut Reference) {
+        for block in blocks {
+            for request in &block.requests {
+                let key = |time_ms| (time_ms, request.sn);
+                match zugchain_wire::from_bytes::<Request>(&request.payload) {
+                    Ok(decoded) => {
+                        out.0.insert(key(decoded.time_ms), block.height());
+                        for event in &decoded.events {
+                            out.1
+                                .entry(EventKind::of_signal(&event.name))
+                                .or_default()
+                                .insert(key(decoded.time_ms), block.height());
+                        }
+                    }
+                    Err(_) => {
+                        out.0.insert(key(block.header.time_ms), block.height());
+                        out.1
+                            .entry(EventKind::Other)
+                            .or_default()
+                            .insert(key(block.header.time_ms), block.height());
+                    }
+                }
+            }
+        }
+        for block in blocks {
+            for request in &block.requests {
+                let time_ms = match zugchain_wire::from_bytes::<Request>(&request.payload) {
+                    Ok(decoded) => decoded.time_ms,
+                    Err(_) => block.header.time_ms,
+                };
+                out.2.insert((time_ms, train, request.sn), block.height());
+            }
+        }
+    }
+
+    fn locations(map: &BTreeMap<(u64, u64), u64>) -> Vec<RequestLocation> {
+        map.iter()
+            .map(|(&(time_ms, sn), &height)| RequestLocation {
+                height,
+                sn,
+                time_ms,
+            })
+            .collect()
+    }
+
+    fn assert_indexes_match(fleet: &FleetArchive, trains: &[TrainId], pairs: &[KeyPair]) {
+        let mut expected = Reference::default();
+        for &train in trains {
+            let segments = segments(train, pairs);
+            let blocks: Vec<&Block> = segments.iter().flat_map(|s| s.blocks.iter()).collect();
+            let mut shard = Reference::default();
+            reference(train, &blocks, &mut shard);
+            let index = fleet
+                .with_shard(train, |a| a.index().clone())
+                .expect("registered");
+            assert_eq!(index.in_time_range(0, u64::MAX), locations(&shard.0));
+            for kind in EventKind::ALL {
+                assert_eq!(
+                    index.in_time_range_of_kinds(0, u64::MAX, &[kind]),
+                    shard.1.get(&kind).map_or_else(Vec::new, locations),
+                    "{kind:?}"
+                );
+            }
+            assert_eq!(index.len(), shard.0.len());
+            for (&(_, sn), &height) in &shard.0 {
+                assert_eq!(index.height_of_sn(sn), Some(height));
+            }
+            expected.2.extend(shard.2);
+        }
+        assert_eq!(*read(&fleet.inner.cross), expected.2);
+    }
+
+    #[test]
+    fn each_payload_decoded_once_feeds_both_indexes_as_before() {
+        let (pairs, keystore) = zugchain_crypto::Keystore::generate(4, 0x1D3);
+        let trains = [TrainId(1), TrainId(2)];
+        let dir = std::env::temp_dir().join(format!("zugchain-fleet-index-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let durable = FleetArchive::open(&dir, 3).unwrap();
+        for fleet in [FleetArchive::in_memory(3), durable] {
+            for train in trains {
+                fleet.register_train(train, keystore.clone()).unwrap();
+                for certified in segments(train, &pairs) {
+                    fleet.ingest(&certified).unwrap();
+                }
+            }
+            // Fed at ingest.
+            assert_indexes_match(&fleet, &trains, &pairs);
+        }
+        // Rebuilt at recovery.
+        let reopened = FleetArchive::open(&dir, 3).unwrap();
+        for train in trains {
+            reopened.register_train(train, keystore.clone()).unwrap();
+        }
+        assert_indexes_match(&reopened, &trains, &pairs);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

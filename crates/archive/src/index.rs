@@ -16,6 +16,8 @@
 //! where possible; payloads that do not decode (foreign formats, chaos
 //! junk) are indexed under [`EventKind::Other`] at the block timestamp,
 //! so they remain reachable by time without poisoning the kind indexes.
+//! Each payload is decoded once per ingest, into an [`IndexEntry`] that
+//! feeds both these indexes and the fleet's cross index.
 
 use std::collections::BTreeMap;
 
@@ -71,6 +73,52 @@ pub struct RequestLocation {
     pub time_ms: u64,
 }
 
+/// What the indexes keep of one archived request, derived from its
+/// payload once: where it lives, the time it is filed under and the
+/// event kinds it carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct IndexEntry {
+    pub(crate) height: u64,
+    pub(crate) sn: u64,
+    /// The decoded request's time, or the block time for a payload that
+    /// does not decode.
+    pub(crate) time_ms: u64,
+    /// One bit per [`EventKind`], `1 << kind as u8`.
+    kind_bits: u8,
+}
+
+impl IndexEntry {
+    /// The entries of `block`'s requests, in block order.
+    pub(crate) fn of_block(block: &Block) -> impl Iterator<Item = IndexEntry> + '_ {
+        let height = block.height();
+        block.requests.iter().map(move |request| {
+            let (time_ms, kind_bits) = match zugchain_wire::from_bytes::<Request>(&request.payload)
+            {
+                Ok(decoded) => (
+                    decoded.time_ms,
+                    decoded.events.iter().fold(0, |bits, event| {
+                        bits | 1 << EventKind::of_signal(&event.name) as u8
+                    }),
+                ),
+                Err(_) => (block.header.time_ms, 1 << EventKind::Other as u8),
+            };
+            IndexEntry {
+                height,
+                sn: request.sn,
+                time_ms,
+                kind_bits,
+            }
+        })
+    }
+
+    /// The kinds the request carries, each once, in [`EventKind`] order.
+    fn kinds(&self) -> impl Iterator<Item = EventKind> + '_ {
+        EventKind::ALL
+            .into_iter()
+            .filter(move |&kind| self.kind_bits & 1 << kind as u8 != 0)
+    }
+}
+
 /// The archive's derived query indexes.
 #[derive(Debug, Clone, Default)]
 pub struct ArchiveIndex {
@@ -88,29 +136,21 @@ impl ArchiveIndex {
     /// Indexes every request of `block`. Idempotent for re-ingestion of
     /// the same block (keys are overwritten with identical values).
     pub fn index_block(&mut self, block: &Block) {
-        let height = block.height();
-        for request in &block.requests {
-            self.by_sn.insert(request.sn, height);
-            let (time_ms, kinds) = match zugchain_wire::from_bytes::<Request>(&request.payload) {
-                Ok(decoded) => {
-                    let mut kinds: Vec<EventKind> = decoded
-                        .events
-                        .iter()
-                        .map(|e| EventKind::of_signal(&e.name))
-                        .collect();
-                    kinds.sort_unstable();
-                    kinds.dedup();
-                    (decoded.time_ms, kinds)
-                }
-                Err(_) => (block.header.time_ms, vec![EventKind::Other]),
-            };
-            self.by_time.insert((time_ms, request.sn), height);
-            for kind in kinds {
-                self.by_kind
-                    .entry(kind)
-                    .or_default()
-                    .insert((time_ms, request.sn), height);
-            }
+        for entry in IndexEntry::of_block(block) {
+            self.insert(&entry);
+        }
+    }
+
+    /// Indexes one request.
+    pub(crate) fn insert(&mut self, entry: &IndexEntry) {
+        let key = (entry.time_ms, entry.sn);
+        self.by_sn.insert(entry.sn, entry.height);
+        self.by_time.insert(key, entry.height);
+        for kind in entry.kinds() {
+            self.by_kind
+                .entry(kind)
+                .or_default()
+                .insert(key, entry.height);
         }
     }
 

@@ -11,10 +11,11 @@
 //!   for chain linkage, continuity with the pruned base, and a 2f+1
 //!   checkpoint certificate ([`Segment::verify`]); the archive never
 //!   trusts the export pipeline, only the replicas' signatures;
-//! * **stores durably** — one append-only file per segment, framed
-//!   magic ‖ SHA-256 ‖ body and written tmp, fsync, rename, directory
-//!   fsync before ingest returns, and restart recovery to the longest
-//!   *verified* prefix ([`Archive::open`]);
+//! * **stores durably** — one append-only segment log per archive
+//!   directory, a length-prefixed record framed magic ‖ SHA-256 ‖ body
+//!   per segment, appended and synced with `sync_data` before ingest
+//!   returns, and restart recovery to the longest *verified* prefix
+//!   ([`Archive::open`]);
 //! * **answers queries** — by sequence number, time range, and decoded
 //!   signal-event kind ([`EventKind`]), feeding the timeline
 //!   reconstruction in `zugchain-signals`; a [`QueryEngine`] handle

@@ -116,21 +116,25 @@ fn durable_shards_recover_independently() {
         }
     }
 
-    // Corrupt train 1's second segment file; train 2's shard and a
-    // cross-planted foreign segment file must not survive either.
-    let shard_1 = dir.join("trains").join("1");
-    let seg = shard_1.join("seg-0000000001.zas");
-    let mut raw = std::fs::read(&seg).unwrap();
-    let mid = raw.len() / 2;
+    // Corrupt train 1's second segment record; train 2's shard and a
+    // cross-planted foreign record must not survive either.
+    let log = |train: u64| {
+        dir.join("trains")
+            .join(train.to_string())
+            .join("segments.zal")
+    };
+    let (log_1, log_2) = (
+        std::fs::read(log(1)).unwrap(),
+        std::fs::read(log(2)).unwrap(),
+    );
+    let first_record = |raw: &[u8]| 4 + u32::from_le_bytes(raw[..4].try_into().unwrap()) as usize;
+    let mut raw = log_1.clone();
+    let mid = first_record(&log_1) + (log_1.len() - first_record(&log_1)) / 2;
     raw[mid] ^= 0xFF;
-    std::fs::write(&seg, &raw).unwrap();
-    // Plant train 2's first segment into train 1's shard under the next
-    // sequence slot — recovery must discard it as a wrong-train file.
-    std::fs::copy(
-        dir.join("trains").join("2").join("seg-0000000000.zas"),
-        shard_1.join("seg-0000000002.zas"),
-    )
-    .unwrap();
+    // Append train 2's first record to train 1's log as the next record
+    // — recovery must discard it as a wrong-train record.
+    raw.extend_from_slice(&log_2[..first_record(&log_2)]);
+    std::fs::write(log(1), &raw).unwrap();
 
     let fleet = FleetArchive::open(&dir, QUORUM).unwrap();
     let report_1 = fleet.register_train(TrainId(1), keystore.clone()).unwrap();
@@ -141,8 +145,22 @@ fn durable_shards_recover_independently() {
     assert!(report_2.segments_discarded.is_empty());
     assert_eq!(fleet.segment_count_of(TrainId(1)), 1);
     assert_eq!(fleet.segment_count_of(TrainId(2)), 2);
-    // The cross index reflects only recovered records.
+    // The cross index reflects only recovered records, and each shard
+    // directory holds its log alone.
     assert_eq!(fleet.request_count(), 6 + 12);
+    assert_eq!(
+        std::fs::read(log(1)).unwrap(),
+        &log_1[..first_record(&log_1)]
+    );
+    assert_eq!(std::fs::read(log(2)).unwrap(), log_2);
+    for train in [1, 2] {
+        let shard = dir.join("trains").join(train.to_string());
+        let names: Vec<_> = std::fs::read_dir(shard)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["segments.zal"]);
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }

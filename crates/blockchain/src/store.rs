@@ -3,7 +3,8 @@ use std::fmt;
 use zugchain_crypto::Digest;
 use zugchain_wire::Encode;
 
-use crate::{Block, BlockHeader, SealedBlock};
+use crate::verify::ChainCheck;
+use crate::{Block, BlockHeader, ChainViolation, SealedBlock};
 
 /// Errors from [`ChainStore`] operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -219,6 +220,42 @@ impl ChainStore {
         Ok(())
     }
 
+    /// Appends a run of blocks from outside this replica (a state
+    /// transfer, a recovered disk image) onto the head. Each block gets
+    /// [`verify_chain`](crate::verify_chain)'s checks once, with the head
+    /// as the run's base, as it is appended; the first block must also
+    /// sit at the head's height + 1. Returns the new head hash, which the
+    /// link checks compute anyway. An empty run leaves the store as it is.
+    ///
+    /// # Errors
+    ///
+    /// The first [`ChainViolation`], the one `verify_chain(blocks,
+    /// Some(head_hash))` reports for the same run (a first block at
+    /// another height is a [`ChainViolation::HeightGap`]). The store is
+    /// then unchanged.
+    pub fn extend_verified(
+        &mut self,
+        blocks: impl IntoIterator<Item = Block>,
+    ) -> Result<Digest, ChainViolation> {
+        let (len, resident_bytes) = (self.blocks.len(), self.resident_bytes);
+        let mut head = self.head_hash();
+        let mut check = ChainCheck::new(Some(head), Some(self.height()));
+        for block in blocks {
+            match check.next(&block) {
+                Ok(hash) => {
+                    head = hash;
+                    self.push(block);
+                }
+                Err(violation) => {
+                    self.blocks.truncate(len);
+                    self.resident_bytes = resident_bytes;
+                    return Err(violation);
+                }
+            }
+        }
+        Ok(head)
+    }
+
     fn check_extends_head(&self, block: &Block) -> Result<(), ChainError> {
         let expected_height = self.height() + 1;
         if block.height() != expected_height {
@@ -309,7 +346,7 @@ impl Default for ChainStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LoggedRequest;
+    use crate::{verify_chain, LoggedRequest};
 
     fn block_at(height: u64, prev: Digest) -> Block {
         let first_sn = (height - 1) * 2 + 1;
@@ -516,5 +553,86 @@ mod tests {
         assert_eq!(store.get(2).unwrap().height(), 2);
         assert!(store.get(9).is_none());
         assert!(store.get(0).is_none(), "genesis is not resident");
+    }
+
+    /// Blocks 3..=6 extending `store_with(2)`.
+    fn run_onto(store: &ChainStore) -> Vec<Block> {
+        let mut prev = store.head_hash();
+        (3..=6)
+            .map(|height| {
+                let block = block_at(height, prev);
+                prev = block.hash();
+                block
+            })
+            .collect()
+    }
+
+    #[test]
+    fn extend_verified_matches_appending_block_by_block() {
+        let mut extended = store_with(2);
+        let blocks = run_onto(&extended);
+        let mut appended = extended.clone();
+        for block in &blocks {
+            appended.append(block.clone()).unwrap();
+        }
+        assert_eq!(extended.extend_verified(blocks), Ok(appended.head_hash()));
+        assert_eq!(extended.blocks(), appended.blocks());
+        assert_eq!(extended.resident_bytes(), appended.resident_bytes());
+        let head = extended.head_hash();
+        assert_eq!(extended.extend_verified(Vec::new()), Ok(head));
+    }
+
+    #[test]
+    fn extend_verified_reports_what_verify_chain_reports_and_changes_nothing() {
+        let store = store_with(2);
+        let head = store.head_hash();
+        let good = run_onto(&store);
+        let tampered: Vec<(&str, Vec<Block>)> = vec![
+            ("payload", {
+                let mut blocks = good.clone();
+                blocks[2].requests[0].payload = vec![0xFF];
+                blocks
+            }),
+            ("payload hash re-derived", {
+                let mut blocks = good.clone();
+                blocks[1].requests[0].payload = vec![0xFF];
+                blocks[1].header.payload_hash = Block::payload_hash_of(&blocks[1].requests);
+                blocks
+            }),
+            ("missing block", {
+                let mut blocks = good.clone();
+                blocks.remove(2);
+                blocks
+            }),
+            ("wrong base", {
+                let mut blocks = good.clone();
+                blocks[0] = block_at(3, Digest::of(b"elsewhere"));
+                blocks
+            }),
+            ("sequence overlap", {
+                let mut blocks = good.clone();
+                blocks[1] = Block::next(4, blocks[0].hash(), blocks[0].requests.clone(), 0);
+                blocks
+            }),
+        ];
+        for (what, blocks) in tampered {
+            let expected = verify_chain(&blocks, Some(head)).unwrap_err();
+            let mut extended = store.clone();
+            assert_eq!(extended.extend_verified(blocks), Err(expected), "{what}");
+            assert_eq!(extended.blocks(), store.blocks(), "{what}");
+            assert_eq!(extended.resident_bytes(), store.resident_bytes(), "{what}");
+        }
+
+        // A run that links to the head from the wrong height: verify_chain
+        // does not know the base height, the store does.
+        let mut extended = store.clone();
+        assert_eq!(
+            extended.extend_verified([block_at(5, head)]),
+            Err(ChainViolation::HeightGap {
+                expected: 3,
+                actual: 5
+            })
+        );
+        assert_eq!(extended.height(), 2);
     }
 }

@@ -86,48 +86,74 @@ impl std::error::Error for ChainViolation {}
 ///
 /// The first [`ChainViolation`] encountered, scanning front to back.
 pub fn verify_chain(blocks: &[Block], base: Option<Digest>) -> Result<Digest, ChainViolation> {
-    let first = blocks.first().ok_or(ChainViolation::Empty)?;
-    if let Some(expected) = base {
-        if first.header.prev_hash != expected {
-            return Err(ChainViolation::WrongBase {
-                expected,
-                actual: first.header.prev_hash,
-            });
+    let mut check = ChainCheck::new(base, None);
+    let mut head = Err(ChainViolation::Empty);
+    for block in blocks {
+        head = Ok(check.next(block)?);
+    }
+    head
+}
+
+/// [`verify_chain`]'s checks, one block at a time, so a store can make
+/// them as it appends.
+#[derive(Debug)]
+pub(crate) struct ChainCheck {
+    /// The hash the first block must link to, if known.
+    base_hash: Option<Digest>,
+    /// The height the first block must follow, if known.
+    base_height: Option<u64>,
+    /// Height, hash and last sn of the block checked last.
+    prev: Option<(u64, Digest, u64)>,
+}
+
+impl ChainCheck {
+    pub(crate) fn new(base_hash: Option<Digest>, base_height: Option<u64>) -> Self {
+        ChainCheck {
+            base_hash,
+            base_height,
+            prev: None,
         }
     }
 
-    let mut prev_hash: Option<Digest> = None;
-    let mut prev_height = None;
-    let mut prev_last_sn = None;
-    for block in blocks {
+    /// Checks the next block of the segment and returns its hash.
+    pub(crate) fn next(&mut self, block: &Block) -> Result<Digest, ChainViolation> {
         let height = block.height();
-        if !block.payload_is_consistent() {
-            return Err(ChainViolation::PayloadMismatch { height });
-        }
-        if let Some(expected) = prev_height.map(|h: u64| h + 1) {
-            if height != expected {
-                return Err(ChainViolation::HeightGap {
+        if let (None, Some(expected)) = (self.prev, self.base_hash) {
+            if block.header.prev_hash != expected {
+                return Err(ChainViolation::WrongBase {
                     expected,
-                    actual: height,
+                    actual: block.header.prev_hash,
                 });
             }
         }
-        if let Some(prev) = prev_hash {
-            if block.header.prev_hash != prev {
+        if !block.payload_is_consistent() {
+            return Err(ChainViolation::PayloadMismatch { height });
+        }
+        let (expected_height, link) = match self.prev {
+            None => (self.base_height.map(|h| h + 1), None),
+            Some((prev_height, prev_hash, last_sn)) => {
+                (Some(prev_height + 1), Some((prev_hash, last_sn)))
+            }
+        };
+        if let Some(expected) = expected_height.filter(|&expected| expected != height) {
+            return Err(ChainViolation::HeightGap {
+                expected,
+                actual: height,
+            });
+        }
+        if let Some((prev_hash, last_sn)) = link {
+            if block.header.prev_hash != prev_hash {
                 return Err(ChainViolation::BrokenLink { height });
             }
-        }
-        if let Some(last_sn) = prev_last_sn {
             // Genesis carries sn 0..=0; real blocks start at sn ≥ 1.
             if block.header.first_sn <= last_sn && !(last_sn == 0 && block.header.first_sn == 1) {
                 return Err(ChainViolation::SequenceOverlap { height });
             }
         }
-        prev_hash = Some(block.hash());
-        prev_height = Some(height);
-        prev_last_sn = Some(block.header.last_sn);
+        let hash = block.hash();
+        self.prev = Some((height, hash, block.header.last_sn));
+        Ok(hash)
     }
-    Ok(prev_hash.expect("the segment is not empty"))
 }
 
 #[cfg(test)]

@@ -37,11 +37,9 @@ pub fn rebuild_recovered_state(
             Some(b) => ChainStore::resume(b.clone()),
             None => ChainStore::new(),
         };
-        for block in &blocks[..cut] {
-            store
-                .append(block.clone())
-                .expect("surviving prefix extends its own base");
-        }
+        store
+            .extend_verified(blocks[..cut].iter().cloned())
+            .expect("surviving prefix extends its own base");
         return Some((store, proofs[..=covered].to_vec()));
     }
     None

@@ -1,7 +1,7 @@
 use std::fmt;
 
 use zugchain_blockchain::Block;
-use zugchain_blockchain::{verify_chain, ChainStore, ChainViolation, PrunedBase};
+use zugchain_blockchain::{ChainStore, ChainViolation, PrunedBase};
 use zugchain_crypto::Keystore;
 use zugchain_pbft::CheckpointProof;
 
@@ -115,7 +115,11 @@ pub fn install_transfer(
         })
     };
 
-    let head_hash = verify_chain(&package.blocks, Some(first.header.prev_hash))
+    // The store's head is the first block's `prev_hash` in both cases,
+    // so this makes `verify_chain(blocks, Some(prev_hash))`'s checks, once
+    // per block, as it appends.
+    let head_hash = store
+        .extend_verified(package.blocks.iter().cloned())
         .map_err(StateTransferError::BadChain)?;
 
     let last = package.blocks.last().expect("nonempty checked above");
@@ -124,12 +128,6 @@ pub fn install_transfer(
     {
         return Err(StateTransferError::CheckpointMismatch);
     }
-
-    for block in &package.blocks {
-        store
-            .append(block.clone())
-            .map_err(|_| StateTransferError::BadChain(ChainViolation::Empty))?;
-    }
     Ok(store)
 }
 
@@ -137,7 +135,7 @@ pub fn install_transfer(
 mod tests {
     use super::*;
     use crate::{DcId, DeleteCmd};
-    use zugchain_blockchain::{BlockBuilder, LoggedRequest};
+    use zugchain_blockchain::{verify_chain, BlockBuilder, LoggedRequest};
     use zugchain_pbft::{Checkpoint, NodeId};
 
     fn chain(n_blocks: u64) -> Vec<Block> {
@@ -227,15 +225,42 @@ mod tests {
         let mut blocks = chain(3);
         let proof = proof_for(&blocks[2], &pairs);
         blocks[1].requests[0].payload = vec![0xAB];
+        let expected = verify_chain(&blocks, Some(Block::genesis().hash())).unwrap_err();
+        assert_eq!(expected, ChainViolation::PayloadMismatch { height: 2 });
         let package = TransferPackage {
             proof,
             blocks,
             base_deletes: vec![],
         };
-        assert!(matches!(
-            install_transfer(&package, &keystore, &dc_keystore, 3, 2),
-            Err(StateTransferError::BadChain(_))
-        ));
+        assert_eq!(
+            install_transfer(&package, &keystore, &dc_keystore, 3, 2).unwrap_err(),
+            StateTransferError::BadChain(expected)
+        );
+    }
+
+    #[test]
+    fn a_first_block_at_the_wrong_height_is_a_height_gap() {
+        let (pairs, keystore) = Keystore::generate(4, 80);
+        let (_, dc_keystore) = Keystore::generate(2, 81);
+        // Linked to genesis, but claiming height 2.
+        let request = LoggedRequest {
+            sn: 1,
+            origin: 0,
+            payload: vec![1; 8],
+        };
+        let block = Block::next(2, Block::genesis().hash(), vec![request], 64);
+        let package = TransferPackage {
+            proof: proof_for(&block, &pairs),
+            blocks: vec![block],
+            base_deletes: vec![],
+        };
+        assert_eq!(
+            install_transfer(&package, &keystore, &dc_keystore, 3, 2).unwrap_err(),
+            StateTransferError::BadChain(ChainViolation::HeightGap {
+                expected: 1,
+                actual: 2
+            })
+        );
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! audit bundle is cut for the second block. Four digests are pinned:
 //!
 //! * the SHA-256 of that block's canonical encoding, and its block hash;
-//! * the SHA-256 of the segment file (`seg-*.zas`) as the archive's
-//!   `write_record` wrote it;
+//! * the SHA-256 of the segment frame (`ZGS1` ‖ SHA-256 ‖ segment) as
+//!   the archive's segment log holds it, after the record's length
+//!   prefix;
 //! * the SHA-256 of the `.zab` bundle.
 //!
 //! The constants were printed by this test at the commit before block
@@ -37,8 +38,10 @@ use zugchain_wire::TrainId;
 const BLOCK_BYTES_SHA256: &str = "8e599c482920d0e0e417716ac746507c82cbc117200c5b77237e8351137124fb";
 /// `block.hash()` of the block at height 2.
 const BLOCK_HASH: &str = "d5a86654690a2e8696da36265b4d9fe31a7371ae5af20d618ba20b7599c3554f";
-/// SHA-256 of the one segment file the ingest wrote (`seg-0000000000.zas`,
-/// 69 682 bytes; its certificate is replica 2's, signed by 2, 3 and 0).
+/// SHA-256 of the segment frame the ingest wrote (69 682 bytes, the one
+/// record of `segments.zal`; the same bytes as the `seg-0000000000.zas`
+/// file of the one-file-per-segment layout, from which the constant was
+/// printed; its certificate is replica 2's, signed by 2, 3 and 0).
 const SEGMENT_FILE_SHA256: &str =
     "f2f22c57309516b1152052de4fb4b1e36e63c699a53cb07699e334372debd1a2";
 /// SHA-256 of the `.zab` bundle for height 2 (34 989 bytes).
@@ -167,17 +170,22 @@ fn juridical_bytes_are_pinned() {
     let _ = std::fs::remove_dir_all(&dir);
     let (mut archive, _) = Archive::open(&dir, keystore, QUORUM).expect("open archive");
     archive.ingest(&segment).expect("certified segment ingests");
-    let segment_files: Vec<std::path::PathBuf> = std::fs::read_dir(&dir)
+    let names: Vec<std::ffi::OsString> = std::fs::read_dir(&dir)
         .expect("archive directory")
-        .map(|entry| entry.expect("directory entry").path())
-        .filter(|path| path.extension().is_some_and(|ext| ext == "zas"))
+        .map(|entry| entry.expect("directory entry").file_name())
         .collect();
-    assert_eq!(segment_files.len(), 1, "one ingest writes one segment file");
-    let segment_bytes = std::fs::read(&segment_files[0]).expect("segment file");
+    assert_eq!(names, ["segments.zal"], "the archive is its segment log");
+    let log = std::fs::read(dir.join("segments.zal")).expect("segment log");
+    let (prefix, segment_bytes) = log.split_at(4);
     assert_eq!(
-        Digest::of(&segment_bytes).to_string(),
+        u32::from_le_bytes(prefix.try_into().unwrap()) as usize,
+        segment_bytes.len(),
+        "one ingest appends one record"
+    );
+    assert_eq!(
+        Digest::of(segment_bytes).to_string(),
         SEGMENT_FILE_SHA256,
-        "segment file changed ({} bytes)",
+        "segment frame changed ({} bytes)",
         segment_bytes.len()
     );
 
