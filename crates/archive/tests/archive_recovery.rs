@@ -325,6 +325,22 @@ fn shard_log_crash_exploration() {
         [&full[..], &foreign_record].concat(),
         n,
     ));
+    // Damage is sticky: a whole record after a damaged one is cut too,
+    // even one that would extend the prefix.
+    let mut damaged = full[ends[1]..ends[2]].to_vec();
+    let mid = damaged.len() / 2;
+    damaged[mid] ^= 0x01;
+    images.push((
+        "record 1 damaged, then a whole copy of it".into(),
+        [&full[..ends[1]], &damaged, &full[ends[1]..ends[2]]].concat(),
+        1,
+    ));
+    // A record must carry its log position as its seq.
+    images.push((
+        "a first record that says it is seq 7".into(),
+        record_of(&Segment::build(7, &segments[0]).unwrap()),
+        0,
+    ));
 
     for (what, image, acked) in images {
         fs::write(log_path(&dir), &image).unwrap();
